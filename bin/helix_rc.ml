@@ -160,8 +160,10 @@ let all_cmd =
 
 (* ---- inspection commands ---- *)
 
+(* Not [--version]: the command group's ~version already claims that
+   name on every subcommand. *)
 let version_arg =
-  let doc = "Compiler version: v1, v2 or v3." in
+  let doc = "HCC compiler version: v1, v2 or v3." in
   let vconv =
     Arg.conv
       ( (function
@@ -171,7 +173,7 @@ let version_arg =
         | s -> Error (`Msg ("unknown version " ^ s))),
         fun ppf v -> Fmt.string ppf (Exp_common.version_name v) )
   in
-  Arg.(value & opt vconv Exp_common.V3 & info [ "version" ] ~doc)
+  Arg.(value & opt vconv Exp_common.V3 & info [ "hcc" ] ~docv:"VERSION" ~doc)
 
 let compile_cmd =
   let doc = "Compile a workload and show the selected parallel loops." in
@@ -263,9 +265,9 @@ let jitter_arg =
 let faults_arg =
   let doc =
     "Lossy-ring fault schedule, e.g. \
-     $(b,seed=42,drop=5,dup=3,reorder=2,corrupt=1,kill=3\\@50000): \
+     $(b,seed=42,drop=5,dup=3,reorder=2,corrupt=1,kill=3@50000): \
      comma-separated key=value pairs; drop/dup/reorder/corrupt are \
-     per-mille per-link-send rates, kill=NODE\\@CYCLE fail-stops a core.  \
+     per-mille per-link-send rates, kill=NODE@CYCLE fail-stops a core.  \
      The recovery protocol (sequence numbers, checksums, go-back-N \
      retransmission) must deliver the correct result for any message-loss \
      schedule; fail-stop recovers by reknitting the ring or falling back \

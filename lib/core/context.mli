@@ -18,35 +18,22 @@ type status =
   | Suspended of parallel_trigger (** serial core at a parallel header *)
   | Finished of int option
 
-type frame = {
-  func : Ir.func;
-  regs : int array;
-  mutable block : Ir.label;
-  mutable index : int;
-  mutable entered : bool;
-  dst_in_caller : Ir.reg option;
-}
+type program
+(** A decoded program: every function's blocks as instruction arrays with
+    their register tokens, static uop kinds, branch ids and resolved
+    callees precomputed.  Decode once per simulation and share it between
+    all contexts of that run. *)
 
-type t = {
-  prog : Ir.program;
-  mem : Memory.t;
-  core_id : int;
-  mutable frames : frame list;
-  mutable status : status;
-  mutable wait_depth : int;
-  mutable seg_stack : int list;  (** open segments, innermost first *)
-  mutable rand_seed : int;
-  mutable retired : int;
-  trigger : (string -> Ir.label -> bool) option;
-  mutable on_mem : (seg:int option -> addr:int -> write:bool -> unit) option;
-}
+val decode : ?trigger:(string -> Ir.label -> bool) -> Ir.program -> program
+(** [trigger f header] marks the blocks at which a serial context
+    suspends (the selected parallel-loop headers); default: none. *)
 
-val create :
-  ?trigger:(string -> Ir.label -> bool) option ->
-  Ir.program -> Memory.t -> core_id:int -> t
-(** [trigger] fires on block entry in the outermost frame; when it
-    returns true the context suspends (the serial core reached a
-    selected parallel-loop header). *)
+type t
+
+val create : ?serial:bool -> program -> Memory.t -> core_id:int -> t
+(** A [serial] context suspends on entering any block [decode]'s
+    [trigger] marked (the serial core reached a selected parallel-loop
+    header); worker contexts ignore the marks. *)
 
 val start : t -> string -> int list -> unit
 (** Begin executing [fname args]; discards any previous call. *)

@@ -175,10 +175,14 @@ type par_state = {
 
 type phase = Serial | Parallel of par_state
 
+(* Growable log of one (segment, origin)'s conventional signal cycles. *)
+type conv_log = { mutable times : int array; mutable len : int }
+
 type t = {
   cfg : config;
   compiled : Hcc.compiled option;
   prog : Ir.program;
+  decoded : Context.program;  (* shared by the serial and worker contexts *)
   mem : Memory.t;
   n : int;
   hier : Hierarchy.t;
@@ -206,10 +210,17 @@ type t = {
      scheduler-visible iteration-scheduling signature of the previous
      cycle, to veto fast-forwarding across a supply-unblocking change *)
   conv_vis : int Queue.t;
-  mutable sched_sig : bool * int * int * int * int * bool * int;
+  mutable sig_parallel : bool;
+  mutable sig_entry : int;
+  mutable sig_started : int;
+  mutable sig_finished : int;
+  mutable sig_contig : int;
+  mutable sig_stopped : bool;
+  mutable sig_active : int;
   mutable sched_changed : bool;
-  (* conventional signalling: (seg, origin) -> store cycles, in order *)
-  conv_signals : (int * int, int list ref) Hashtbl.t;
+  (* conventional signalling: store cycles per (seg, origin), in order,
+     keyed [seg * n + origin] *)
+  conv_signals : (int, conv_log) Hashtbl.t;
   (* addresses of demoted-register cells, for routing *)
   reg_cells : (int, unit) Hashtbl.t;
   (* robustness state *)
@@ -255,10 +266,13 @@ let iter_of_local t ~core ~local_iter =
    whole blocks contribute all of its lanes, the partial block the lanes
    below [g mod n].  This is the signal threshold [g]'s segments must
    wait for from origin [c']. *)
+let rec count_below r = function
+  | [] -> 0
+  | l :: rest -> (if l < r then 1 else 0) + count_below r rest
+
 let iters_before t ~core:c' ~iter:g =
   let q = g / t.n and r = g mod t.n in
-  (List.length t.owned.(c') * q)
-  + List.length (List.filter (fun l -> l < r) t.owned.(c'))
+  (List.length t.owned.(c') * q) + count_below r t.owned.(c')
 
 let find_loop t ~func ~header =
   match t.compiled with
@@ -274,17 +288,25 @@ let traced = ref 0
 
 (* ---- conventional chained signalling ---- *)
 
+let conv_key t ~seg ~origin = (seg * t.n) + origin
+
 let conv_signal_record t ~seg ~origin ~cycle =
-  let key = (seg, origin) in
-  let cell =
-    match Hashtbl.find_opt t.conv_signals key with
-    | Some l -> l
-    | None ->
-        let l = ref [] in
-        Hashtbl.replace t.conv_signals key l;
-        l
+  let key = conv_key t ~seg ~origin in
+  let log =
+    match Hashtbl.find t.conv_signals key with
+    | log -> log
+    | exception Not_found ->
+        let log = { times = Array.make 16 0; len = 0 } in
+        Hashtbl.replace t.conv_signals key log;
+        log
   in
-  cell := cycle :: !cell (* newest first *);
+  if log.len = Array.length log.times then begin
+    let times = Array.make (2 * log.len) 0 in
+    Array.blit log.times 0 times 0 log.len;
+    log.times <- times
+  end;
+  log.times.(log.len) <- cycle;
+  log.len <- log.len + 1;
   (* publish the cycle at which this signal becomes visible to waiters,
      for the event engine: a fast-forward must not cross it.  Record
      cycles are nondecreasing, so the queue stays sorted. *)
@@ -296,15 +318,19 @@ let conv_signal_record t ~seg ~origin ~cycle =
 let conv_signal_visible t ~seg ~origin ~threshold ~cycle =
   if threshold <= 0 then true
   else
-    match Hashtbl.find_opt t.conv_signals (seg, origin) with
-    | None -> false
-    | Some l ->
-        let times = List.rev !l in
-        List.length times >= threshold
-        && List.nth times (threshold - 1)
+    match Hashtbl.find t.conv_signals (conv_key t ~seg ~origin) with
+    | exception Not_found -> false
+    | log ->
+        log.len >= threshold
+        && log.times.(threshold - 1)
            (* serialized signal request + transmission (Section 3.2) *)
            + (2 * t.cfg.mach.Mach_config.mem.Mach_config.c2c_latency)
            <= cycle
+
+let conv_signals_received t ~seg ~origin =
+  match Hashtbl.find t.conv_signals (conv_key t ~seg ~origin) with
+  | log -> log.len
+  | exception Not_found -> 0
 
 (* ---- shared-world callback for core [c] ---- *)
 
@@ -315,18 +341,38 @@ let route_via_ring t addr =
       if Hashtbl.mem t.reg_cells addr then t.cfg.comm.reg_via_ring
       else t.cfg.comm.mem_via_ring
 
+(* Before its local iteration k (global iteration g) may enter a
+   sequential segment, core [core] needs from every other live core
+   exactly as many signals as that core has iterations preceding g.  A
+   dead core neither signals nor is waited on; its adopted lanes count
+   toward the adopter.  While everyone lives this is the classic
+   k / k+1 split around the core id.  The origins are visited in
+   increasing core order. *)
 let wait_thresholds t ~core ~local_iter =
-  (* before its local iteration k (global iteration g) may enter a
-     sequential segment, core [core] needs from every other live core
-     exactly as many signals as that core has iterations preceding g.
-     A dead core neither signals nor is waited on; its adopted lanes
-     count toward the adopter.  While everyone lives this is the
-     classic k / k+1 split around the core id. *)
   let g = iter_of_local t ~core ~local_iter in
   List.init t.n (fun c' ->
       if c' = core || not t.alive.(c') then None
       else Some (c', iters_before t ~core:c' ~iter:g))
   |> List.filter_map Fun.id
+
+(* The wait polled every cycle: is every origin's threshold met?  Walks
+   the origins in the order of [wait_thresholds] without building it,
+   and stops at the first unmet one -- [Ring.signals_satisfied] marks
+   signals consumed, so which origins get asked must not change. *)
+let origin_satisfied t ~core ~seg ~g ~cycle c' =
+  let threshold = iters_before t ~core:c' ~iter:g in
+  match t.ring with
+  | Some ring when t.cfg.comm.sync_via_ring ->
+      Ring.signals_satisfied ring ~node:core ~seg ~origin:c' ~threshold
+  | _ -> conv_signal_visible t ~seg ~origin:c' ~threshold ~cycle
+
+let rec wait_satisfied t ~core ~seg ~g ~cycle c' =
+  if c' >= t.n then true
+  else if c' = core || not t.alive.(c') then
+    wait_satisfied t ~core ~seg ~g ~cycle (c' + 1)
+  else
+    origin_satisfied t ~core ~seg ~g ~cycle c'
+    && wait_satisfied t ~core ~seg ~g ~cycle (c' + 1)
 
 let shared_op t ~core ~cycle ~tag (op : Uop.shared_op) : Uop.shared_outcome =
   t.shared_poke <- true;
@@ -337,26 +383,14 @@ let shared_op t ~core ~cycle ~tag (op : Uop.shared_op) : Uop.shared_outcome =
   let local_iter = max 0 tag in
   match op with
   | Uop.S_wait seg ->
+      (* conventional signals use lazy pull-based transmission: the
+         same all-predecessor semantics, but each signal becomes visible
+         only one cache-to-cache latency after it is stored -- this is
+         what serializes the Figure 5b chain *)
       let satisfied =
-        if t.cfg.comm.sync_via_ring then begin
-          match t.ring with
-          | Some ring ->
-              List.for_all
-                (fun (origin, threshold) ->
-                  Ring.signals_satisfied ring ~node:core ~seg ~origin
-                    ~threshold)
-                (wait_thresholds t ~core ~local_iter)
-          | None -> true
-        end
-        else
-          (* lazy pull-based transmission: the same all-predecessor
-             semantics, but each signal becomes visible only one
-             cache-to-cache latency after it is stored -- this is what
-             serializes the Figure 5b chain *)
-          List.for_all
-            (fun (origin, threshold) ->
-              conv_signal_visible t ~seg ~origin ~threshold ~cycle)
-            (wait_thresholds t ~core ~local_iter)
+        (t.cfg.comm.sync_via_ring && Option.is_none t.ring)
+        || wait_satisfied t ~core ~seg ~cycle
+             ~g:(iter_of_local t ~core ~local_iter) 0
       in
       if satisfied then begin
         Trace.wait_complete t.cfg.trace ~cycle ~core ~seg ~iter:local_iter;
@@ -466,39 +500,38 @@ let finish_iteration ~now (ps : par_state) rv =
       if not ps.ps_stopped then ps.ps_contig <- ps.ps_contig + 1
   | Some _ | None -> ps.ps_stopped <- true
 
-let worker_next_uop t (ps : par_state) (w : worker) =
-  let rec go () =
-    match Context.status w.w_ctx with
-    | Context.Running | Context.Blocked -> (
-        match Context.next_uop w.w_ctx with
-        | Some u ->
-            u.Uop.meta <- max 0 (w.w_local_iter - 1);
-            Some u
-        | None -> None)
-    | Context.Suspended _ -> None
-    | Context.Finished rv ->
-        if w.w_running_iter then begin
-          w.w_running_iter <- false;
-          finish_iteration ~now:!(t.now) ps rv
-        end;
-        (* schedule the next iteration assigned to this core: the sweep
-           over its owned lanes (identical to core-id round-robin while
-           every core lives) *)
-        let iter = iter_of_local t ~core:w.w_core ~local_iter:w.w_local_iter in
-        if can_start t ps iter then begin
-          w.w_local_iter <- w.w_local_iter + 1;
-          ps.ps_started <- ps.ps_started + 1;
-          w.w_running_iter <- true;
-          if !traced < trace_invocations then
-            Printf.eprintf "  [trace] @%d core %d starts iter %d\n" !(t.now)
-              w.w_core iter;
-          Context.start w.w_ctx ps.ps_pl.Parallel_loop.pl_body_fn
-            (iter :: ps.ps_params);
-          go ()
-        end
-        else None
-  in
-  go ()
+(* The worker's uop supply, polled every cycle: a top-level recursion
+   rather than a local [go] closure, which would be allocated per poll. *)
+let rec worker_next_uop t (ps : par_state) (w : worker) =
+  match Context.status w.w_ctx with
+  | Context.Running | Context.Blocked -> (
+      match Context.next_uop w.w_ctx with
+      | Some u as next ->
+          u.Uop.meta <- max 0 (w.w_local_iter - 1);
+          next
+      | None -> None)
+  | Context.Suspended _ -> None
+  | Context.Finished rv ->
+      if w.w_running_iter then begin
+        w.w_running_iter <- false;
+        finish_iteration ~now:!(t.now) ps rv
+      end;
+      (* schedule the next iteration assigned to this core: the sweep
+         over its owned lanes (identical to core-id round-robin while
+         every core lives) *)
+      let iter = iter_of_local t ~core:w.w_core ~local_iter:w.w_local_iter in
+      if can_start t ps iter then begin
+        w.w_local_iter <- w.w_local_iter + 1;
+        ps.ps_started <- ps.ps_started + 1;
+        w.w_running_iter <- true;
+        if !traced < trace_invocations then
+          Printf.eprintf "  [trace] @%d core %d starts iter %d\n" !(t.now)
+            w.w_core iter;
+        Context.start w.w_ctx ps.ps_pl.Parallel_loop.pl_body_fn
+          (iter :: ps.ps_params);
+        worker_next_uop t ps w
+      end
+      else None
 
 (* ---- phase transitions ---- *)
 
@@ -537,7 +570,7 @@ let spawn_workers t =
       let w =
         {
           w_core = c;
-          w_ctx = Context.create t.prog t.mem ~core_id:c;
+          w_ctx = Context.create t.decoded t.mem ~core_id:c;
           w_local_iter = 0;
           w_running_iter = false;
         }
@@ -909,15 +942,14 @@ let end_parallel t (ps : par_state) =
 let create ?(compiled : Hcc.compiled option) (cfg : config)
     (prog : Ir.program) (mem : Memory.t) : t =
   let n = cfg.mach.Mach_config.n_cores in
-  let trigger =
+  let decoded =
     match compiled with
-    | None -> None
+    | None -> Context.decode prog
     | Some c ->
-        Some
-          (fun fname header ->
+        Context.decode prog ~trigger:(fun fname header ->
             Hcc.find_parallel_loop c ~func:fname ~header <> None)
   in
-  let serial_ctx = Context.create ~trigger prog mem ~core_id:0 in
+  let serial_ctx = Context.create ~serial:true decoded mem ~core_id:0 in
   let hier = Hierarchy.create cfg.mach in
   let t_ref = ref None in
   let ring =
@@ -948,6 +980,7 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
       cfg;
       compiled;
       prog;
+      decoded;
       mem;
       n;
       hier;
@@ -968,7 +1001,13 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
       last_progress = 0;
       last_retired = -1;
       conv_vis = Queue.create ();
-      sched_sig = (false, 0, 0, 0, 0, false, n);
+      sig_parallel = false;
+      sig_entry = 0;
+      sig_started = 0;
+      sig_finished = 0;
+      sig_contig = 0;
+      sig_stopped = false;
+      sig_active = n;
       sched_changed = false;
       conv_signals = Hashtbl.create 64;
       reg_cells;
@@ -1054,8 +1093,8 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
   in
   t.mk_core <-
     (fun c ->
-      Core.create ~retired_sink:t.total_retired cfg.mach.Mach_config.core
-        (supply_for c));
+      Core.create ~id:c ~retired_sink:t.total_retired
+        cfg.mach.Mach_config.core (supply_for c));
   t.cores <- Array.init n t.mk_core;
   t
 
@@ -1070,10 +1109,7 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
 let received_for t ~core ~seg ~origin =
   match t.ring with
   | Some r -> Ring.signals_received r ~node:core ~seg ~origin
-  | None -> (
-      match Hashtbl.find_opt t.conv_signals (seg, origin) with
-      | Some l -> List.length !l
-      | None -> 0)
+  | None -> conv_signals_received t ~seg ~origin
 
 let stuck_report t ~reason =
   let b = Buffer.create 4096 in
@@ -1274,17 +1310,30 @@ let process_fail_stop t ~node ~cycle =
    fast-forward across it.  [n_active] is part of the signature: a
    fail-stop reassigns lanes, which can unblock (or create) supply on
    every surviving core. *)
-let sched_signature t =
+let set_sched_signature t ~parallel ~entry ~started ~finished ~contig
+    ~stopped =
+  t.sched_changed <-
+    parallel <> t.sig_parallel || entry <> t.sig_entry
+    || started <> t.sig_started || finished <> t.sig_finished
+    || contig <> t.sig_contig || stopped <> t.sig_stopped
+    || t.n_active <> t.sig_active;
+  t.sig_parallel <- parallel;
+  t.sig_entry <- entry;
+  t.sig_started <- started;
+  t.sig_finished <- finished;
+  t.sig_contig <- contig;
+  t.sig_stopped <- stopped;
+  t.sig_active <- t.n_active
+
+let update_sched_signature t =
   match t.phase with
-  | Serial -> (false, 0, 0, 0, 0, false, t.n_active)
+  | Serial ->
+      set_sched_signature t ~parallel:false ~entry:0 ~started:0 ~finished:0
+        ~contig:0 ~stopped:false
   | Parallel ps ->
-      ( true,
-        ps.ps_entry_cycle,
-        ps.ps_started,
-        ps.ps_finished,
-        ps.ps_contig,
-        ps.ps_stopped,
-        t.n_active )
+      set_sched_signature t ~parallel:true ~entry:ps.ps_entry_cycle
+        ~started:ps.ps_started ~finished:ps.ps_finished
+        ~contig:ps.ps_contig ~stopped:ps.ps_stopped
 
 (* Everything the legacy loop body did besides ring/core ticks: the
    progress watchdog and the phase state machine.  Runs as the last
@@ -1342,9 +1391,22 @@ let sched_tick t ~cycle =
   | Parallel ps ->
       t.parallel_cycles <- t.parallel_cycles + 1;
       if parallel_done t ps then end_parallel t ps);
-  let s = sched_signature t in
-  t.sched_changed <- s <> t.sched_sig;
-  t.sched_sig <- s
+  update_sched_signature t
+
+(* Fold step for the earliest wake-up not yet passed. *)
+let earliest ~now w c = if c >= now && c < w then c else w
+
+(* Next conventional-mode signal visibility boundary at or after [now]
+   ([max_int] if none); boundaries already passed are dropped. *)
+let rec conv_wake t ~now =
+  if Queue.is_empty t.conv_vis then max_int
+  else
+    let v = Queue.peek t.conv_vis in
+    if v < now then begin
+      ignore (Queue.pop t.conv_vis);
+      conv_wake t ~now
+    end
+    else v
 
 (* Earliest future cycle at which the scheduler itself could act.  The
    returned cycle is always finite (the watchdog trigger bounds it), so
@@ -1352,33 +1414,28 @@ let sched_tick t ~cycle =
 let sched_next_event t ~now =
   if t.done_ || t.sched_changed then Some now
   else begin
-    let w = ref max_int in
-    let add c = if c >= now && c < !w then w := c in
+    let w = max_int in
     (* serial-core stall release (flush / fallback re-execution charge).
        The release cycle itself must be ticked: the serial core's supply
        unblocks on it, and the core may already be idle-settled *)
-    if t.serial_stall_until >= now then add t.serial_stall_until;
+    let w = earliest ~now w t.serial_stall_until in
     (* parallel-phase setup-latency release: the release cycle itself
        must be ticked, like the serial stall above — an idle-settled
        core's [can_start] flips exactly there *)
-    (match t.phase with
-    | Parallel ps -> if ps.ps_start_cycle >= now then add ps.ps_start_cycle
-    | Serial -> ());
+    let w =
+      match t.phase with
+      | Parallel ps -> earliest ~now w ps.ps_start_cycle
+      | Serial -> w
+    in
     (* a scheduled fail-stop is a hard wake-up: the engines must not
        fast-forward across the death cycle *)
-    (match t.pending_death with
-    | Some (_, at) -> add (max now at)
-    | None -> ());
-    (* conventional-mode signal visibility boundaries *)
-    let rec conv () =
-      match Queue.peek_opt t.conv_vis with
-      | Some v when v < now ->
-          ignore (Queue.pop t.conv_vis);
-          conv ()
-      | Some v -> add v
-      | None -> ()
+    let w =
+      match t.pending_death with
+      | Some (_, at) -> earliest ~now w (max now at)
+      | None -> w
     in
-    conv ();
+    (* conventional-mode signal visibility boundaries *)
+    let w = earliest ~now w (conv_wake t ~now) in
     (* watchdog trigger: within a serial stall window last_progress
        tracks the clock up to serial_stall_until - 1 *)
     let lp =
@@ -1386,8 +1443,7 @@ let sched_next_event t ~now =
         max t.last_progress (t.serial_stall_until - 1)
       else t.last_progress
     in
-    add (max now (lp + t.cfg.watchdog_cycles + 1));
-    Some !w
+    Some (earliest ~now w (max now (lp + t.cfg.watchdog_cycles + 1)))
   end
 
 (* Charge the skipped window [now .. now + cycles - 1] exactly as the
@@ -1509,8 +1565,9 @@ let serial_batch t ~now ~limit =
           if
             t.done_ || t.shared_poke
             || (match t.phase with Serial -> false | Parallel _ -> true)
-            || Core.next_event t.cores.(0) ~now:(cycle + 1)
-               <> Some (cycle + 1)
+            || (match Core.next_event t.cores.(0) ~now:(cycle + 1) with
+               | Some e -> e <> cycle + 1
+               | None -> true)
           then stop := true
         done;
         if !k > 0 then

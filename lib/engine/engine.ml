@@ -100,25 +100,23 @@ exception Active
    entries that have come due without the component turning active mark
    the component hot (it must be re-polled before the window can be
    trusted) and clamp the result to [now]. *)
-let min_valid_wake t ~now =
-  let rec go () =
-    match Wake_heap.peek t.heap with
-    | None -> reactive
-    | Some (c, i) ->
-        if t.wake.(i) = c then
-          if c > now then c
-          else begin
-            (* due but not observed active: force a re-poll next round *)
-            t.hot.(i) <- true;
-            Wake_heap.drop t.heap;
-            now
-          end
-        else begin
-          Wake_heap.drop t.heap;
-          go ()
-        end
-  in
-  go ()
+let rec min_valid_wake t ~now =
+  if Wake_heap.size t.heap = 0 then reactive
+  else begin
+    let c = Wake_heap.top_cycle t.heap and i = Wake_heap.top_id t.heap in
+    if t.wake.(i) = c then
+      if c > now then c
+      else begin
+        (* due but not observed active: force a re-poll next round *)
+        t.hot.(i) <- true;
+        Wake_heap.drop t.heap;
+        now
+      end
+    else begin
+      Wake_heap.drop t.heap;
+      min_valid_wake t ~now
+    end
+  end
 
 (* Poll component [i]'s promise and update the cache.  Returns true when
    the component is active at [now] (it then stays hot); quiescent

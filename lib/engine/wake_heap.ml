@@ -43,6 +43,8 @@ let push t ~cycle ~id =
   t.cycles.(!i) <- cycle;
   t.ids.(!i) <- id
 
+let top_cycle t = if t.size = 0 then max_int else t.cycles.(0)
+let top_id t = if t.size = 0 then -1 else t.ids.(0)
 let peek t = if t.size = 0 then None else Some (t.cycles.(0), t.ids.(0))
 
 let drop t =

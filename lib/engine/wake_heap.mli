@@ -17,6 +17,12 @@ val push : t -> cycle:int -> id:int -> unit
 val peek : t -> (int * int) option
 (** Smallest [(cycle, id)] entry, by cycle, or [None] when empty. *)
 
+val top_cycle : t -> int
+(** [peek]'s cycle without allocating; [max_int] when empty. *)
+
+val top_id : t -> int
+(** [peek]'s id without allocating; [-1] when empty. *)
+
 val drop : t -> unit
 (** Remove the top entry.  No-op on an empty heap. *)
 

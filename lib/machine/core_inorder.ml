@@ -41,12 +41,9 @@ let trace_win =
       | _ -> (0, -1))
   | None -> (0, -1)
 
-let core_counter = ref (-1)
-
-let create ?retired_sink cfg supply =
-  incr core_counter;
+let create ~id ?retired_sink cfg supply =
   {
-    my_id = !core_counter mod 16;
+    my_id = id;
     cfg;
     supply;
     stats = Stats.create ?retired_sink ();
@@ -65,16 +62,24 @@ let create ?retired_sink cfg supply =
 
 let ready t r = try Hashtbl.find t.reg_ready r with Not_found -> 0
 
-let srcs_ready t (u : Uop.t) cycle =
-  List.for_all (fun r -> ready t r <= cycle) u.Uop.srcs
+(* Closure-free walks over a uop's sources: both run on every issue
+   attempt. *)
+let rec all_ready t cycle = function
+  | [] -> true
+  | r :: rest -> ready t r <= cycle && all_ready t cycle rest
+
+let srcs_ready t (u : Uop.t) cycle = all_ready t cycle u.Uop.srcs
 
 let set_dst t (u : Uop.t) c =
   match u.Uop.dst with
   | Some d -> Hashtbl.replace t.reg_ready d c
   | None -> ()
 
-let src_ready_cycle t (u : Uop.t) =
-  List.fold_left (fun acc r -> max acc (ready t r)) 0 u.Uop.srcs
+let rec latest_ready t acc = function
+  | [] -> acc
+  | r :: rest -> latest_ready t (max acc (ready t r)) rest
+
+let src_ready_cycle t (u : Uop.t) = latest_ready t 0 u.Uop.srcs
 
 (* memory-unit occupancy: loads and stores contend for the port;
    wait/signal issue from the store queue for ordering but ride their own
@@ -144,15 +149,12 @@ let try_issue t (u : Uop.t) cycle =
             | Uop.S_flush -> ());
             Stats.retire t.stats;
             `Issued
-        | Uop.Sh_retry ->
+        | Uop.Sh_retry -> (
             t.ne_retry <- true;
-            let bucket =
-              match op with
-              | Uop.S_wait _ -> Stats.Dep_wait
-              | Uop.S_load _ | Uop.S_store _ | Uop.S_signal _ | Uop.S_flush ->
-                  Stats.Communication
-            in
-            `Stall bucket
+            match op with
+            | Uop.S_wait _ -> `Stall Stats.Dep_wait
+            | Uop.S_load _ | Uop.S_store _ | Uop.S_signal _ | Uop.S_flush ->
+                `Stall Stats.Communication)
       end
   end
 
@@ -169,21 +171,21 @@ let tick t cycle =
   let issued = ref 0 in
   let fetched = ref false in
   let only_sync = ref true in
-  let stall = ref None in
+  let stall = ref Stats.Pipeline in
   let continue_ = ref true in
   while !continue_ && !issued < t.cfg.Mach_config.width do
     let next =
       match t.pending with
-      | Some u -> Some u
+      | Some _ as pending -> pending
       | None ->
           let u = t.supply.Core_model.sup_next () in
           t.pending <- u;
-          if u <> None then fetched := true;
+          if Option.is_some u then fetched := true;
           u
     in
     match next with
     | None ->
-        if !issued = 0 then stall := Some Stats.Idle;
+        if !issued = 0 then stall := Stats.Idle;
         continue_ := false
     | Some u -> begin
         match try_issue t u cycle with
@@ -192,13 +194,13 @@ let tick t cycle =
             incr issued;
             if not (Uop.is_sync u) then only_sync := false
         | `Stall b ->
-            if !issued = 0 then stall := Some b;
+            if !issued = 0 then stall := b;
             continue_ := false
       end
   done;
   let bucket =
     if !issued > 0 then if !only_sync then Stats.Sync_instr else Stats.Busy
-    else match !stall with Some b -> b | None -> Stats.Pipeline
+    else !stall
   in
   t.last_stall <- bucket;
   t.ne_full <- !issued >= t.cfg.Mach_config.width;
@@ -237,6 +239,9 @@ let stall_bucket t (u : Uop.t) cycle =
     | Uop.Shared _ -> Stats.Communication
     | _ -> Stats.Pipeline
 
+(* Fold step for the earliest stall deadline not yet passed. *)
+let earliest ~now w c = if c >= now && c < w then c else w
+
 (* Earliest future cycle at which this core could change state on its
    own; [Some now] = active (do not skip); [None] = purely reactive
    (blocked on the shared world: only executor/ring events unblock it,
@@ -259,12 +264,14 @@ let next_event t ~now =
              never been attempted, so no stall proof exists yet *)
           Some now
         else begin
-          let w = ref max_int in
-          let add c = if c >= now && c < !w then w := c in
-          add t.fetch_avail;
-          add (src_ready_cycle t u);
-          add t.mem_busy_until;
-          if !w < max_int then Some !w
+          let w =
+            earliest ~now
+              (earliest ~now
+                 (earliest ~now max_int t.fetch_avail)
+                 (src_ready_cycle t u))
+              t.mem_busy_until
+          in
+          if w < max_int then Some w
           else if t.ne_retry then None
           else Some now
         end

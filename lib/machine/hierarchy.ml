@@ -42,9 +42,9 @@ let create (mcfg : Mach_config.t) =
 let line_words t = t.cfg.Mach_config.l1.Mach_config.line_words
 
 let dir_state t laddr =
-  match Hashtbl.find_opt t.directory laddr with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.directory laddr with
+  | s -> s
+  | exception Not_found ->
       let s = { owner = -1; sharers = 0 } in
       Hashtbl.replace t.directory laddr s;
       s

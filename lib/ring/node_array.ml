@@ -53,6 +53,25 @@ let create ?(line_words = 1) ~size_words ~assoc () =
         evictions = 0;
       }
 
+(* Way of [set] holding line [tag], or -1.  This and [victim_way] are
+   closure-free: every ring hop inserts into a node array. *)
+let rec find_way set tag w =
+  if w >= Array.length set then -1
+  else
+    let e = set.(w) in
+    if e.valid && e.tag = tag then w else find_way set tag (w + 1)
+
+(* The last invalid way if any, else the least recently used one (first
+   on ties). *)
+let rec victim_way set best w =
+  if w >= Array.length set then best
+  else
+    let e = set.(w) and b = set.(best) in
+    let best =
+      if not e.valid then w else if b.valid && e.lru < b.lru then w else best
+    in
+    victim_way set best (w + 1)
+
 (* [lookup t addr] returns the cached value if present. *)
 let lookup t addr =
   match t with
@@ -68,17 +87,18 @@ let lookup t addr =
   | Bounded b ->
       let tag = addr / b.line_words in
       let set = b.sets.(tag mod b.n_sets) in
-      let found = ref None in
-      Array.iter (fun e -> if e.valid && e.tag = tag then found := Some e) set;
-      (match !found with
-      | Some e ->
-          b.hits <- b.hits + 1;
-          b.clock <- b.clock + 1;
-          e.lru <- b.clock;
-          Some e.values.(addr mod b.line_words)
-      | None ->
-          b.misses <- b.misses + 1;
-          None)
+      let w = find_way set tag 0 in
+      if w >= 0 then begin
+        let e = set.(w) in
+        b.hits <- b.hits + 1;
+        b.clock <- b.clock + 1;
+        e.lru <- b.clock;
+        Some e.values.(addr mod b.line_words)
+      end
+      else begin
+        b.misses <- b.misses + 1;
+        None
+      end
 
 (* [insert t addr value] writes a word, allocating its line; returns the
    evicted line [(line_addr, values)] if a valid line was displaced. *)
@@ -90,35 +110,30 @@ let insert t addr value =
   | Bounded b ->
       let tag = addr / b.line_words in
       let set = b.sets.(tag mod b.n_sets) in
-      let found = ref None in
-      Array.iter (fun e -> if e.valid && e.tag = tag then found := Some e) set;
+      let w = find_way set tag 0 in
       b.clock <- b.clock + 1;
-      (match !found with
-      | Some e ->
-          e.values.(addr mod b.line_words) <- value;
-          e.lru <- b.clock;
-          None
-      | None ->
-          let victim = ref set.(0) in
-          Array.iter
-            (fun e ->
-              if not e.valid then victim := e
-              else if !victim.valid && e.lru < !victim.lru then victim := e)
-            set;
-          let v = !victim in
-          let evicted =
-            if v.valid then begin
-              b.evictions <- b.evictions + 1;
-              Some (v.tag * b.line_words, Array.copy v.values)
-            end
-            else None
-          in
-          v.tag <- tag;
-          Array.fill v.values 0 (Array.length v.values) 0;
-          v.values.(addr mod b.line_words) <- value;
-          v.valid <- true;
-          v.lru <- b.clock;
-          evicted)
+      if w >= 0 then begin
+        let e = set.(w) in
+        e.values.(addr mod b.line_words) <- value;
+        e.lru <- b.clock;
+        None
+      end
+      else begin
+        let v = set.(victim_way set 0 0) in
+        let evicted =
+          if v.valid then begin
+            b.evictions <- b.evictions + 1;
+            Some (v.tag * b.line_words, Array.copy v.values)
+          end
+          else None
+        in
+        v.tag <- tag;
+        Array.fill v.values 0 (Array.length v.values) 0;
+        v.values.(addr mod b.line_words) <- value;
+        v.valid <- true;
+        v.lru <- b.clock;
+        evicted
+      end
 
 let invalidate t addr =
   match t with

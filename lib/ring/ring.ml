@@ -530,14 +530,17 @@ let retire t ~cls =
 
 (* -- ring clock ------------------------------------------------------ *)
 
-let class_of_msg t msg =
-  if Msg.is_data msg then (t.links_data, fun n -> n.in_data)
-  else (t.links_sig, fun n -> n.in_sig)
+(* A traffic class is named by [data]: true for the data wires, false
+   for the signal wires.  Plain flags rather than accessor closures keep
+   the per-cycle paths below allocation-free. *)
+let links_of t ~data = if data then t.links_data else t.links_sig
+let in_q_of ~data (n : node) = if data then n.in_data else n.in_sig
+let hop_state_of ~data (n : node) = if data then n.hop_data else n.hop_sig
 
-let link_free_space t links in_of i =
+let link_free_space t ~data i =
   t.cfg.link_capacity
-  - Queue.length links.(i)
-  - Queue.length (in_of t.nodes.(succ t i))
+  - Queue.length (links_of t ~data).(i)
+  - Queue.length (in_q_of ~data t.nodes.(succ t i))
 
 (* Recovery-protocol timing constants.  The retransmission timeout must
    comfortably exceed one hop plus the modeled cumulative-ack latency --
@@ -550,17 +553,19 @@ let rtx_base t = (4 * t.cfg.n_nodes * t.cfg.link_latency) + 16
 let max_backoff_shift = 6
 
 let wire_of_msg msg = if Msg.is_data msg then "data" else "sig"
-let hop_of (n : node) msg = if Msg.is_data msg then n.hop_data else n.hop_sig
+let hop_of (n : node) msg = hop_state_of ~data:(Msg.is_data msg) n
+
+let data_link_jitter p = p.pj_link_max
+let sig_link_jitter p = p.pj_link_max + p.pj_signal_max
 
 (* The fault-free wire put: exactly the pre-fault-model [send]. *)
 let enqueue_link t (msg : Msg.t) i ~cycle =
-  let links, _ = class_of_msg t msg in
+  let data = Msg.is_data msg in
   let j =
-    jitter t.cfg ~salt:3 ~cycle ~node:i ~bound:(fun p ->
-        if Msg.is_data msg then p.pj_link_max
-        else p.pj_link_max + p.pj_signal_max)
+    jitter t.cfg ~salt:3 ~cycle ~node:i
+      ~bound:(if data then data_link_jitter else sig_link_jitter)
   in
-  Queue.add (cycle + t.cfg.link_latency + j, msg) links.(i)
+  Queue.add (cycle + t.cfg.link_latency + j, msg) (links_of t ~data).(i)
 
 let corrupt_msg (m : Msg.t) =
   let payload =
@@ -612,8 +617,7 @@ let faulty_put t (msg : Msg.t) i ~cycle =
       else if roll < p.fl_drop + p.fl_dup + p.fl_reorder then begin
         fired "reorder";
         enqueue_link t msg i ~cycle;
-        let links, _ = class_of_msg t msg in
-        transpose_last_two links.(i)
+        transpose_last_two (links_of t ~data:(Msg.is_data msg)).(i)
       end
       else if roll < p.fl_drop + p.fl_dup + p.fl_reorder + p.fl_corrupt
       then begin
@@ -711,113 +715,104 @@ let check_retransmit t (n : node) (hs : hop_state) ~wire ~cycle =
       ~attempt:hs.hs_attempt
   end
 
-let tick t ~cycle =
-  t.tick_did_work <- false;
-  (* 1. deliver arrived link messages into input buffers.  With a fault
-     plan active the receiver validates each copy first: a checksum
-     failure (corruption), a hop gap (loss -- go-back-N keeps expecting
-     the gap until retransmitted) or a repeated hop (duplicate, including
-     every retransmitted copy of an already-accepted hop) is counted and
-     discarded; an in-order valid copy is accepted and its cumulative ack
-     scheduled back to the sender.  In-order acceptance per hop stream
-     means every node applies the identical message sequence as the
-     fault-free run, which is why faults perturb timing but never
-     architectural results. *)
-  let deliver links in_of hs_of =
-    Array.iteri
-      (fun i link ->
-        let dst = t.nodes.(succ t i) in
-        let continue_ = ref true in
-        while !continue_ && not (Queue.is_empty link) do
-          let arrival, _ = Queue.peek link in
-          if arrival <= cycle then begin
-            let _, msg = Queue.pop link in
-            if not t.faults_on then begin
-              Queue.add msg (in_of dst);
-              t.tick_did_work <- true
-            end
-            else begin
-              t.tick_did_work <- true;
-              let rhs = hs_of dst in
-              if not (Msg.valid msg) then
-                t.corrupts_detected <- t.corrupts_detected + 1
-              else if msg.Msg.hop < rhs.hs_expect then
-                t.dups_detected <- t.dups_detected + 1
-              else if msg.Msg.hop > rhs.hs_expect then
-                t.drops_detected <- t.drops_detected + 1
-              else begin
-                rhs.hs_expect <- rhs.hs_expect + 1;
-                Queue.add
-                  (cycle + ack_latency t, msg.Msg.hop)
-                  (hs_of t.nodes.(i)).hs_acks;
-                Queue.add msg (in_of dst)
-              end
-            end
-          end
-          else continue_ := false
-        done)
-      links
-  in
-  deliver t.links_data (fun n -> n.in_data) (fun n -> n.hop_data);
-  deliver t.links_sig (fun n -> n.in_sig) (fun n -> n.hop_sig);
-  (* 1b. sender-side protocol upkeep (NIC-level, so it runs even for a
-     stalled or fail-stopped node): learn acks, then fire expired
-     retransmission timers *)
-  if t.faults_on then
-    Array.iter
-      (fun n ->
-        process_acks t n.hop_data ~cycle;
-        process_acks t n.hop_sig ~cycle;
-        check_retransmit t n n.hop_data ~wire:"data" ~cycle;
-        check_retransmit t n n.hop_sig ~wire:"sig" ~cycle)
-      t.nodes;
-  (* 2. per node and per class: forward ring traffic with priority over
-     local injection; the two classes use dedicated wires *)
-  let run_class (n : node) in_q inject_q links in_of budget0 ~greedy_inject
-      ~cls =
-    let budget = ref budget0 in
-    let forwarded_any = ref false in
+(* 1. deliver arrived link messages into input buffers.  With a fault
+   plan active the receiver validates each copy first: a checksum
+   failure (corruption), a hop gap (loss -- go-back-N keeps expecting the
+   gap until retransmitted) or a repeated hop (duplicate, including every
+   retransmitted copy of an already-accepted hop) is counted and
+   discarded; an in-order valid copy is accepted and its cumulative ack
+   scheduled back to the sender.  In-order acceptance per hop stream
+   means every node applies the identical message sequence as the
+   fault-free run, which is why faults perturb timing but never
+   architectural results. *)
+let deliver t ~cycle ~data =
+  let links = links_of t ~data in
+  for i = 0 to Array.length links - 1 do
+    let link = links.(i) in
+    let dst = t.nodes.(succ t i) in
     let continue_ = ref true in
-    while !continue_ && !budget > 0 && not (Queue.is_empty in_q) do
-      let msg = Queue.peek in_q in
-      let travels_on = succ t n.id <> msg.Msg.origin in
-      if not (lockstep_ok n msg) then begin
-        (match msg.Msg.payload with
-        | Msg.Sig { barrier; _ } ->
-            Helix_obs.Trace.lockstep_hold t.trace ~cycle ~node:n.id
-              ~origin:msg.Msg.origin ~barrier
-              ~applied:n.applied_data.(msg.Msg.origin)
-        | Msg.Data _ -> ());
-        continue_ := false
-      end
-      else if travels_on && link_free_space t links in_of n.id <= 0 then begin
-        Helix_obs.Trace.backpressure t.trace ~cycle ~node:n.id ~cls;
-        continue_ := false (* back-pressure: wait for credits *)
-      end
-      else begin
-        let msg = Queue.pop in_q in
-        let keep = apply_at t n msg in
-        decr budget;
-        t.tick_did_work <- true;
-        if keep then begin
-          send t msg n.id ~cycle;
-          n.forwarded <- n.forwarded + 1;
-          forwarded_any := true
+    while !continue_ && not (Queue.is_empty link) do
+      let arrival, _ = Queue.peek link in
+      if arrival <= cycle then begin
+        let _, msg = Queue.pop link in
+        if not t.faults_on then begin
+          Queue.add msg (in_q_of ~data dst);
+          t.tick_did_work <- true
         end
-        else retire t ~cls
+        else begin
+          t.tick_did_work <- true;
+          let rhs = hop_state_of ~data dst in
+          if not (Msg.valid msg) then
+            t.corrupts_detected <- t.corrupts_detected + 1
+          else if msg.Msg.hop < rhs.hs_expect then
+            t.dups_detected <- t.dups_detected + 1
+          else if msg.Msg.hop > rhs.hs_expect then
+            t.drops_detected <- t.drops_detected + 1
+          else begin
+            rhs.hs_expect <- rhs.hs_expect + 1;
+            Queue.add
+              (cycle + ack_latency t, msg.Msg.hop)
+              (hop_state_of ~data t.nodes.(i)).hs_acks;
+            Queue.add msg (in_q_of ~data dst)
+          end
+        end
       end
-    done;
-    (* injection: data follows the paper's strict priority rule (inject
-       only when nothing was forwarded); the wider dedicated signal wires
-       may inject with leftover bandwidth, or signal bursts would starve *)
-    if greedy_inject || not !forwarded_any then begin
-      let continue_ = ref true in
-      while !continue_ && !budget > 0 && not (Queue.is_empty inject_q) do
-        let ready, payload, seq = Queue.peek inject_q in
+      else continue_ := false
+    done
+  done
+
+(* 2. per node and per class: forward ring traffic with priority over
+   local injection; the two classes use dedicated wires *)
+let run_class t ~cycle (n : node) ~data ~greedy_inject =
+  let in_q = in_q_of ~data n in
+  let inject_q = if data then n.inject_data else n.inject_sig in
+  let cls = if data then "data" else "sig" in
+  let budget =
+    ref (if data then t.cfg.data_bandwidth else t.cfg.signal_bandwidth)
+  in
+  let forwarded_any = ref false in
+  let continue_ = ref true in
+  while !continue_ && !budget > 0 && not (Queue.is_empty in_q) do
+    let msg = Queue.peek in_q in
+    let travels_on = succ t n.id <> msg.Msg.origin in
+    if not (lockstep_ok n msg) then begin
+      (match msg.Msg.payload with
+      | Msg.Sig { barrier; _ } ->
+          Helix_obs.Trace.lockstep_hold t.trace ~cycle ~node:n.id
+            ~origin:msg.Msg.origin ~barrier
+            ~applied:n.applied_data.(msg.Msg.origin)
+      | Msg.Data _ -> ());
+      continue_ := false
+    end
+    else if travels_on && link_free_space t ~data n.id <= 0 then begin
+      Helix_obs.Trace.backpressure t.trace ~cycle ~node:n.id ~cls;
+      continue_ := false (* back-pressure: wait for credits *)
+    end
+    else begin
+      let msg = Queue.pop in_q in
+      let keep = apply_at t n msg in
+      decr budget;
+      t.tick_did_work <- true;
+      if keep then begin
+        send t msg n.id ~cycle;
+        n.forwarded <- n.forwarded + 1;
+        forwarded_any := true
+      end
+      else retire t ~cls
+    end
+  done;
+  (* injection: data follows the paper's strict priority rule (inject
+     only when nothing was forwarded); the wider dedicated signal wires
+     may inject with leftover bandwidth, or signal bursts would starve *)
+  if greedy_inject || not !forwarded_any then begin
+    let continue_ = ref true in
+    while !continue_ && !budget > 0 && not (Queue.is_empty inject_q) do
+      let ready, payload, seq = Queue.peek inject_q in
+      if ready > cycle then continue_ := false
+      else
         let msg = Msg.make ~payload ~origin:n.id ~seq in
-        if ready > cycle then continue_ := false
-        else if not (lockstep_ok n msg) then continue_ := false
-        else if link_free_space t links in_of n.id <= 0 then continue_ := false
+        if not (lockstep_ok n msg) then continue_ := false
+        else if link_free_space t ~data n.id <= 0 then continue_ := false
         else begin
           ignore (Queue.pop inject_q);
           decr budget;
@@ -837,56 +832,68 @@ let tick t ~cycle =
           end;
           n.injected <- n.injected + 1
         end
-      done
-    end
-  in
-  (* A fail-stopped node is a dumb repeater: it forwards (or retires)
-     buffered traffic within bandwidth and credits but never applies it
-     -- no array insert, no sigbuf record, no applied_data advance, no
-     lockstep check (each downstream live node enforces its own
-     barriers), no injection (its queues died with the core), and no
-     L1-stall gating (there is no core left to stall it). *)
-  let repeater (n : node) in_q links in_of budget0 ~cls =
-    let budget = ref budget0 in
-    let continue_ = ref true in
-    while !continue_ && !budget > 0 && not (Queue.is_empty in_q) do
-      let msg = Queue.peek in_q in
-      let travels_on = succ t n.id <> msg.Msg.origin in
-      if travels_on && link_free_space t links in_of n.id <= 0 then begin
-        Helix_obs.Trace.backpressure t.trace ~cycle ~node:n.id ~cls;
-        continue_ := false
-      end
-      else begin
-        let msg = Queue.pop in_q in
-        decr budget;
-        t.tick_did_work <- true;
-        if travels_on then begin
-          send t msg n.id ~cycle;
-          n.forwarded <- n.forwarded + 1
-        end
-        else retire t ~cls
-      end
     done
+  end
+
+(* A fail-stopped node is a dumb repeater: it forwards (or retires)
+   buffered traffic within bandwidth and credits but never applies it --
+   no array insert, no sigbuf record, no applied_data advance, no
+   lockstep check (each downstream live node enforces its own barriers),
+   no injection (its queues died with the core), and no L1-stall gating
+   (there is no core left to stall it). *)
+let repeater t ~cycle (n : node) ~data =
+  let in_q = in_q_of ~data n in
+  let cls = if data then "data" else "sig" in
+  let budget =
+    ref (if data then t.cfg.data_bandwidth else t.cfg.signal_bandwidth)
   in
-  Array.iter
-    (fun n ->
-      if n.dead then begin
-        repeater n n.in_data t.links_data
-          (fun nd -> nd.in_data)
-          t.cfg.data_bandwidth ~cls:"data";
-        repeater n n.in_sig t.links_sig
-          (fun nd -> nd.in_sig)
-          t.cfg.signal_bandwidth ~cls:"sig"
+  let continue_ = ref true in
+  while !continue_ && !budget > 0 && not (Queue.is_empty in_q) do
+    let msg = Queue.peek in_q in
+    let travels_on = succ t n.id <> msg.Msg.origin in
+    if travels_on && link_free_space t ~data n.id <= 0 then begin
+      Helix_obs.Trace.backpressure t.trace ~cycle ~node:n.id ~cls;
+      continue_ := false
+    end
+    else begin
+      let msg = Queue.pop in_q in
+      decr budget;
+      t.tick_did_work <- true;
+      if travels_on then begin
+        send t msg n.id ~cycle;
+        n.forwarded <- n.forwarded + 1
       end
-      else if cycle >= n.stall_until then begin
-        run_class n n.in_data n.inject_data t.links_data
-          (fun nd -> nd.in_data) t.cfg.data_bandwidth ~greedy_inject:false
-          ~cls:"data";
-        run_class n n.in_sig n.inject_sig t.links_sig
-          (fun nd -> nd.in_sig) t.cfg.signal_bandwidth
-          ~greedy_inject:t.cfg.greedy_sig_inject ~cls:"sig"
-      end)
-    t.nodes
+      else retire t ~cls
+    end
+  done
+
+let tick t ~cycle =
+  t.tick_did_work <- false;
+  deliver t ~cycle ~data:true;
+  deliver t ~cycle ~data:false;
+  (* 1b. sender-side protocol upkeep (NIC-level, so it runs even for a
+     stalled or fail-stopped node): learn acks, then fire expired
+     retransmission timers *)
+  if t.faults_on then
+    Array.iter
+      (fun n ->
+        process_acks t n.hop_data ~cycle;
+        process_acks t n.hop_sig ~cycle;
+        check_retransmit t n n.hop_data ~wire:"data" ~cycle;
+        check_retransmit t n n.hop_sig ~wire:"sig" ~cycle)
+      t.nodes;
+  for i = 0 to Array.length t.nodes - 1 do
+    let n = t.nodes.(i) in
+    if n.dead then begin
+      repeater t ~cycle n ~data:true;
+      repeater t ~cycle n ~data:false
+    end
+    else if cycle >= n.stall_until then begin
+      run_class t ~cycle n ~data:true ~greedy_inject:false;
+      run_class t ~cycle n ~data:false
+        ~greedy_inject:t.cfg.greedy_sig_inject
+    end
+  done
 
 (* Fail-stop: the node's core dies at [cycle] and the ring reknits around
    it -- the node keeps its wires but degrades to a repeater, so traffic
@@ -939,86 +946,99 @@ let dead_nodes t =
    or a link whose FIFO head arrival lower-bounds every delivery from
    it).  Waking a stalled node exactly at [stall_until], and link
    messages exactly at their arrival cycle, matches [tick]'s rules. *)
+(* Fold step for the earliest wake-up: [c] clamped to [now], min [w]. *)
+let wake_min ~now w c =
+  let c = if c < now then now else c in
+  if c < w then c else w
+
+(* Ready cycle of an injection queue's head, folded into [w]; a stalled
+   node cannot inject before [stall_until]. *)
+let inject_wake ~now ~stall_until w q =
+  if Queue.is_empty q then w
+  else
+    let ready, _, _ = Queue.peek q in
+    wake_min ~now w (max ready stall_until)
+
+(* Node [n]'s local bound, folded into [w]; [now] means active. *)
+let node_wake ~now w (n : node) =
+  let buffered = not (Queue.is_empty n.in_data && Queue.is_empty n.in_sig) in
+  if n.dead then
+    (* repeater: buffered traffic is immediately processable (no
+       lockstep, no stall) *)
+    if buffered then now else w
+  else if now < n.stall_until then begin
+    let w = if buffered then wake_min ~now w n.stall_until else w in
+    let w = inject_wake ~now ~stall_until:n.stall_until w n.inject_data in
+    inject_wake ~now ~stall_until:n.stall_until w n.inject_sig
+  end
+  else begin
+    let sig_head_ready =
+      (not (Queue.is_empty n.in_sig)) && lockstep_ok n (Queue.peek n.in_sig)
+    in
+    if (not (Queue.is_empty n.in_data)) || sig_head_ready then now
+    else
+      let w = inject_wake ~now ~stall_until:min_int w n.inject_data in
+      inject_wake ~now ~stall_until:min_int w n.inject_sig
+  end
+
+let rec nodes_wake t ~now w i =
+  if i >= Array.length t.nodes || w <= now then w
+  else nodes_wake t ~now (node_wake ~now w t.nodes.(i)) (i + 1)
+
+(* Head arrivals of every link of one class, folded into [w]. *)
+let links_wake ~now w links =
+  let w = ref w in
+  for i = 0 to Array.length links - 1 do
+    let q = links.(i) in
+    if not (Queue.is_empty q) then begin
+      let arrival, _ = Queue.peek q in
+      w := wake_min ~now !w arrival
+    end
+  done;
+  !w
+
+(* Retransmission timers and pending acks are wake sources of their own:
+   folding them in here is what lets retransmit deadlines participate in
+   idle-cycle skipping instead of forcing per-cycle polling -- and they
+   must be counted even when the in-flight roll-up is zero, because a
+   late duplicate's ack (or a stale timer) can outlive the last logical
+   message. *)
+let protocol_wake ~now w (hs : hop_state) =
+  let w =
+    if not (Queue.is_empty hs.hs_rtx) then wake_min ~now w hs.hs_deadline
+    else w
+  in
+  if Queue.is_empty hs.hs_acks then w
+  else
+    let learn, _ = Queue.peek hs.hs_acks in
+    wake_min ~now w learn
+
+(* Event-engine contract: earliest future cycle at which the network can
+   make progress on its own; [Some now] = active, do not fast-forward;
+   [None] = fully drained (purely reactive: only a new injection from a
+   core can create work).  The inflight roll-up makes the drained case
+   O(1); otherwise each node publishes a local "nothing before c" bound
+   and the scan takes the minimum.  Buffered data (or a processable
+   signal head) at an unstalled node is "active"; a lockstep-held signal
+   head is *not* -- it can only unblock when the barrier data message is
+   applied at this node, and that message is still in flight somewhere
+   the scan already bounds (another node's buffers, an injection queue,
+   or a link whose FIFO head arrival lower-bounds every delivery from
+   it).  Waking a stalled node exactly at [stall_until], and link
+   messages exactly at their arrival cycle, matches [tick]'s rules.  The
+   scan is closure-free: the heap engine polls it on busy cycles. *)
 let next_event t ~now =
   let w = ref max_int in
-  let add c = if (if c < now then now else c) < !w then w := max c now in
-  (* Retransmission timers and pending acks are wake sources of their own:
-     folding them in here is what lets retransmit deadlines participate in
-     idle-cycle skipping instead of forcing per-cycle polling -- and they
-     must be counted even when the in-flight roll-up is zero, because a
-     late duplicate's ack (or a stale timer) can outlive the last logical
-     message. *)
   if t.faults_on then
-    Array.iter
-      (fun n ->
-        List.iter
-          (fun hs ->
-            if not (Queue.is_empty hs.hs_rtx) then add hs.hs_deadline;
-            match Queue.peek_opt hs.hs_acks with
-            | Some (learn, _) -> add learn
-            | None -> ())
-          [ n.hop_data; n.hop_sig ])
-      t.nodes;
-  if t.inflight_data = 0 && t.inflight_sig = 0 then
-    (if !w = max_int then None else Some !w)
-  else begin
-    (try
-       Array.iter
-         (fun n ->
-           let stalled = (not n.dead) && now < n.stall_until in
-           if n.dead then begin
-             (* repeater: buffered traffic is immediately processable
-                (no lockstep, no stall) *)
-             if not (Queue.is_empty n.in_data && Queue.is_empty n.in_sig)
-             then begin
-               add now;
-               raise Exit
-             end
-           end
-           else
-           if stalled then begin
-             if
-               not (Queue.is_empty n.in_data && Queue.is_empty n.in_sig)
-             then add n.stall_until;
-             (match Queue.peek_opt n.inject_data with
-             | Some (ready, _, _) -> add (max ready n.stall_until)
-             | None -> ());
-             match Queue.peek_opt n.inject_sig with
-             | Some (ready, _, _) -> add (max ready n.stall_until)
-             | None -> ()
-           end
-           else begin
-             let sig_head_ready =
-               match Queue.peek_opt n.in_sig with
-               | None -> false
-               | Some msg -> lockstep_ok n msg
-             in
-             if (not (Queue.is_empty n.in_data)) || sig_head_ready then begin
-               add now;
-               raise Exit
-             end;
-             (match Queue.peek_opt n.inject_data with
-             | Some (ready, _, _) -> add ready
-             | None -> ());
-             match Queue.peek_opt n.inject_sig with
-             | Some (ready, _, _) -> add ready
-             | None -> ()
-           end;
-           if !w <= now then raise Exit)
-         t.nodes;
-       let links q =
-         Array.iter
-           (fun link ->
-             match Queue.peek_opt link with
-             | Some (arrival, _) -> add arrival
-             | None -> ())
-           q
-       in
-       links t.links_data;
-       links t.links_sig
-     with Exit -> ());
-    if !w = max_int then None else Some !w
-  end
+    for i = 0 to Array.length t.nodes - 1 do
+      let n = t.nodes.(i) in
+      w := protocol_wake ~now (protocol_wake ~now !w n.hop_data) n.hop_sig
+    done;
+  if t.inflight_data <> 0 || t.inflight_sig <> 0 then begin
+    w := nodes_wake t ~now !w 0;
+    if !w > now then w := links_wake ~now (links_wake ~now !w t.links_data) t.links_sig
+  end;
+  if !w = max_int then None else Some !w
 
 (* Is any message still in flight (links, input buffers, injections)?
    O(1) via the inflight roll-up. *)

@@ -1,0 +1,74 @@
+(* The command-line surface: every subcommand's manual must render.  A
+   malformed doc string (an illegal $(...) escape, a duplicated option
+   name) only surfaces when cmdliner formats the page, as stderr noise or
+   an exception, so each page is rendered with [--help=plain] and must
+   leave stderr empty.  The subcommands are read off the top-level page,
+   so a new one is covered without editing this file. *)
+
+let exe = ref ""
+
+let read_file path =
+  In_channel.with_open_bin path In_channel.input_all
+
+(* Run the CLI with [args]; returns (exit code, stdout, stderr). *)
+let run args =
+  let out = Filename.temp_file "helix_cli" ".out" in
+  let err = Filename.temp_file "helix_cli" ".err" in
+  let cmd =
+    String.concat " " (List.map Filename.quote (!exe :: args))
+    ^ " >" ^ Filename.quote out ^ " 2>" ^ Filename.quote err
+  in
+  let code = Sys.command cmd in
+  let o = read_file out and e = read_file err in
+  Sys.remove out;
+  Sys.remove err;
+  (code, o, e)
+
+let is_name_char = function 'a' .. 'z' | '0' .. '9' -> true | _ -> false
+
+(* Subcommand names from the COMMANDS section of the top-level page:
+   entries sit at a 7-space indent, their descriptions deeper. *)
+let subcommands page =
+  let lines = String.split_on_char '\n' page in
+  let rec skip = function
+    | [] -> []
+    | l :: rest -> if String.trim l = "COMMANDS" then rest else skip rest
+  in
+  let rec take acc = function
+    | [] -> List.rev acc
+    | l :: rest ->
+        if l <> "" && l.[0] <> ' ' then List.rev acc (* next section *)
+        else if String.length l > 7 && String.sub l 0 7 = "       "
+                && is_name_char l.[7]
+        then
+          let entry = String.sub l 7 (String.length l - 7) in
+          take (List.hd (String.split_on_char ' ' entry) :: acc) rest
+        else take acc rest
+  in
+  take [] (skip lines)
+
+let check_page args =
+  let code, out, err = run (args @ [ "--help=plain" ]) in
+  Alcotest.(check string) "stderr" "" err;
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check bool) "page rendered" true (String.length out > 0)
+
+let () =
+  (match Array.to_list Sys.argv with
+  | _ :: path :: _ -> exe := path
+  | _ -> failwith "usage: test_cli PATH-TO-helix_rc.exe");
+  let _, top, _ = run [ "--help=plain" ] in
+  let cmds = subcommands top in
+  if List.length cmds < 10 then
+    failwith "test_cli: could not read the subcommand list";
+  Alcotest.run ~argv:[| Sys.argv.(0) |] "cli"
+    [
+      ( "help",
+        Alcotest.test_case "top-level page renders" `Quick (fun () ->
+            check_page [])
+        :: List.map
+             (fun c ->
+               Alcotest.test_case (c ^ " page renders") `Quick (fun () ->
+                   check_page [ c ]))
+             cmds );
+    ]

@@ -262,6 +262,17 @@ let memory_tests =
         Memory.store m1 1 10; Memory.store m1 2 20;
         Memory.store m2 2 20; Memory.store m2 1 10;
         check Alcotest.int "hash" (Memory.hash m1) (Memory.hash m2));
+    tc "hash value is pinned" (fun () ->
+        (* the oracle's memory fingerprint must not drift with the
+           storage layout: this value predates paged memory *)
+        let m = Memory.create () in
+        for i = 0 to 199 do
+          Memory.store m (0x1000 + (3 * i)) ((i * i) - 50)
+        done;
+        Memory.store m (-7) 11;
+        Memory.store m (1 lsl 40) 13;
+        Memory.store m 0x1000 0;
+        check Alcotest.int "hash" 2022639388483962305 (Memory.hash m));
     tc "layout regions never overlap" (fun () ->
         let l = Memory.Layout.create () in
         let rs =
@@ -429,6 +440,82 @@ let prop_memory_copy_equal =
       (Memory.store c 5000 1;
        not (Memory.equal m c)))
 
+(* Paged memory against a Hashtbl reference model (zero = absent).
+   Addresses mix dense region words, page and directory boundaries,
+   negative words and far words beyond the paged range; values are often
+   zero, so erasure is exercised as much as binding. *)
+let gen_mem_addr =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, int_range 0x1000 0x5000);
+        (2, map (fun k -> (k * 1024) + (if k land 1 = 0 then 0 else 1023))
+              (int_range 0 64));
+        (1, int_range (-3000) (-1));
+        (1, map (fun k -> (1 lsl 40) + k) (int_range 0 100));
+        (1, oneofl [ 0; max_int; min_int; (1 lsl 28) - 1; 1 lsl 28 ]);
+      ])
+
+let gen_mem_value =
+  QCheck.Gen.(frequency [ (2, return 0); (5, int_range (-50) 50); (1, int) ])
+
+(* The content hash as defined when memory was a word-keyed Hashtbl. *)
+let reference_hash model =
+  Hashtbl.fold
+    (fun a v acc -> acc lxor (Hashtbl.hash (a, v) * 0x9e3779b1))
+    model 0
+
+let model_bindings model =
+  List.sort compare (Hashtbl.fold (fun a v acc -> (a, v) :: acc) model [])
+
+let prop_memory_matches_model =
+  QCheck.Test.make ~name:"paged memory agrees with a Hashtbl model"
+    ~count:300
+    QCheck.(
+      make
+        ~print:Print.(list (pair int int))
+        Gen.(list_size (int_range 0 300) (pair gen_mem_addr gen_mem_value)))
+    (fun stores ->
+      let m = Memory.create () and model = Hashtbl.create 64 in
+      List.iter
+        (fun (a, v) ->
+          Memory.store m a v;
+          if v = 0 then Hashtbl.remove model a else Hashtbl.replace model a v)
+        stores;
+      let loads_ok =
+        List.for_all
+          (fun (a, _) ->
+            Memory.load m a
+            = (match Hashtbl.find_opt model a with Some v -> v | None -> 0)
+            && Memory.load m (a + 1)
+               = (match Hashtbl.find_opt model (a + 1) with
+                 | Some v -> v
+                 | None -> 0))
+          stores
+      in
+      (* the same image built in another order, and from scratch *)
+      let rebuilt = Memory.create () in
+      List.iter (fun (a, v) -> Memory.store rebuilt a v)
+        (List.rev (model_bindings model));
+      let c = Memory.copy m in
+      let restored = Memory.create () in
+      Memory.store restored 0x1234 99;
+      Memory.store restored (-1) 5;
+      Memory.restore restored ~from:m;
+      let diverged = Memory.copy m in
+      Memory.store diverged 0x4242 (Memory.load diverged 0x4242 + 1);
+      loads_ok
+      && Memory.nonzero_bindings m = model_bindings model
+      && Memory.hash m = reference_hash model
+      && Memory.equal m rebuilt && Memory.equal rebuilt m
+      && Memory.equal m c && Memory.equal m restored
+      && Memory.hash restored = Memory.hash m
+      && (not (Memory.equal m diverged))
+      && (not (Memory.equal diverged m))
+      && Memory.nonzero_bindings m = model_bindings model (* m untouched *)
+      && (Memory.clear c;
+          Memory.equal c (Memory.create ()) && Memory.equal m rebuilt))
+
 let prop_layout_site_lookup =
   QCheck.Test.make ~name:"layout site lookup agrees with region bounds"
     ~count:100
@@ -448,7 +535,7 @@ let props =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_interp_matches_eval; prop_isqrt; prop_memory_copy_equal;
-      prop_layout_site_lookup;
+      prop_memory_matches_model; prop_layout_site_lookup;
     ]
 
 (* ---- pretty printing ------------------------------------------------- *)

@@ -623,7 +623,119 @@ let prop_circulation =
                   [ 0; 1; 2; 3 ])
            last true)
 
-let props = [ QCheck_alcotest.to_alcotest prop_circulation ]
+(* The dense signal buffer against the Hashtbl implementation it
+   replaced, kept here verbatim as the reference: every query, the
+   outstanding-signal bound, the structured entries and the dump text
+   that deadlock reports print must agree after any operation mix. *)
+module Sb_model = struct
+  type t = {
+    counts : (int * int, int) Hashtbl.t;
+    consumed : (int * int, int) Hashtbl.t;
+    mutable max_outstanding : int;
+  }
+
+  let create () =
+    { counts = Hashtbl.create 32; consumed = Hashtbl.create 32;
+      max_outstanding = 0 }
+
+  let received t ~seg ~origin =
+    try Hashtbl.find t.counts (seg, origin) with Not_found -> 0
+
+  let record t ~seg ~origin =
+    let k = (seg, origin) in
+    let c = 1 + (try Hashtbl.find t.counts k with Not_found -> 0) in
+    Hashtbl.replace t.counts k c;
+    let cons = try Hashtbl.find t.consumed k with Not_found -> 0 in
+    t.max_outstanding <- max t.max_outstanding (c - cons)
+
+  let satisfied t ~seg ~origin ~threshold =
+    let ok = received t ~seg ~origin >= threshold in
+    if ok then begin
+      let k = (seg, origin) in
+      let cons = try Hashtbl.find t.consumed k with Not_found -> 0 in
+      if threshold > cons then Hashtbl.replace t.consumed k threshold
+    end;
+    ok
+
+  let reset t =
+    Hashtbl.reset t.counts;
+    Hashtbl.reset t.consumed;
+    t.max_outstanding <- 0
+
+  let entries t =
+    Hashtbl.fold
+      (fun ((seg, origin) as k) c acc ->
+        let cons = try Hashtbl.find t.consumed k with Not_found -> 0 in
+        ((seg, origin), c, cons) :: acc)
+      t.counts []
+    |> List.sort compare
+
+  let dump t =
+    List.fold_left
+      (fun acc ((seg, origin), c, _) ->
+        acc ^ Printf.sprintf " (seg%d,from%d)=%d" seg origin c)
+      "" (entries t)
+end
+
+type sb_op =
+  | Sb_record of int * int
+  | Sb_satisfied of int * int * int
+  | Sb_received of int * int
+  | Sb_reset
+
+let gen_sb_op =
+  QCheck.Gen.(
+    let seg = frequency [ (4, int_range 0 3); (1, int_range 0 40) ] in
+    let origin = frequency [ (4, int_range 0 15); (1, int_range 0 70) ] in
+    frequency
+      [
+        (8, map2 (fun s o -> Sb_record (s, o)) seg origin);
+        ( 6,
+          map3 (fun s o th -> Sb_satisfied (s, o, th)) seg origin
+            (int_range (-2) 12) );
+        (3, map2 (fun s o -> Sb_received (s, o)) seg origin);
+        (1, return Sb_reset);
+      ])
+
+let print_sb_op = function
+  | Sb_record (s, o) -> Printf.sprintf "record %d %d" s o
+  | Sb_satisfied (s, o, th) -> Printf.sprintf "satisfied %d %d %d" s o th
+  | Sb_received (s, o) -> Printf.sprintf "received %d %d" s o
+  | Sb_reset -> "reset"
+
+let prop_signal_buffer_matches_model =
+  QCheck.Test.make ~name:"dense signal buffer agrees with the Hashtbl model"
+    ~count:300
+    QCheck.(
+      make ~print:(Print.list print_sb_op)
+        Gen.(list_size (int_range 0 400) gen_sb_op))
+    (fun ops ->
+      let b = Signal_buffer.create () and m = Sb_model.create () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Sb_record (seg, origin) ->
+              Signal_buffer.record b ~seg ~origin;
+              Sb_model.record m ~seg ~origin;
+              true
+          | Sb_satisfied (seg, origin, threshold) ->
+              Signal_buffer.satisfied b ~seg ~origin ~threshold
+              = Sb_model.satisfied m ~seg ~origin ~threshold
+          | Sb_received (seg, origin) ->
+              Signal_buffer.received b ~seg ~origin
+              = Sb_model.received m ~seg ~origin
+          | Sb_reset ->
+              Signal_buffer.reset b;
+              Sb_model.reset m;
+              true)
+          && Signal_buffer.max_outstanding b = m.Sb_model.max_outstanding)
+        ops
+      && Signal_buffer.entries b = Sb_model.entries m
+      && Signal_buffer.dump b = Sb_model.dump m)
+
+let props =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_circulation; prop_signal_buffer_matches_model ]
 
 (* ---- lossy-ring fault protocol ------------------------------------------ *)
 

@@ -799,7 +799,7 @@ let depcheck_tests =
    programs: pull every uop and compare the final return value. *)
 let drain_context prog =
   let mem = Memory.create () in
-  let ctx = Context.create prog mem ~core_id:0 in
+  let ctx = Context.create (Context.decode prog) mem ~core_id:0 in
   Context.start ctx prog.Ir.p_main [];
   let steps = ref 0 in
   let rec go () =
@@ -837,7 +837,7 @@ let context_tests =
         Builder.ret b None;
         let p = Ir.create_program () in
         Ir.add_func p (Builder.func b);
-        let ctx = Context.create p (Memory.create ()) ~core_id:0 in
+        let ctx = Context.create (Context.decode p) (Memory.create ()) ~core_id:0 in
         Context.start ctx "main" [];
         (* pull wait 0 *)
         ignore (Context.next_uop ctx);
