@@ -38,9 +38,11 @@ type status =
   | Finished of int option
 
 (* Register tokens carry the frame depth modulo 4 so a callee's registers
-   do not alias its caller's in the core models' scoreboards. *)
+   do not alias its caller's in the core models' scoreboards.  The class
+   sits in the low two bits, so a token is at most 4 * the largest
+   register + 3 and the cores' dense scoreboards stay small. *)
 let depth_classes = 4
-let token cls r = (cls lsl 16) lor (r land 0xffff)
+let token cls r = ((r land 0xffff) lsl 2) lor cls
 
 type dblock = {
   d_label : Ir.label;

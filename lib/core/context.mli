@@ -24,6 +24,12 @@ type program
     callees precomputed.  Decode once per simulation and share it between
     all contexts of that run. *)
 
+val token : int -> Ir.reg -> int
+(** [token cls r]: the register token of [r] in frame-depth class [cls]
+    ([0] to [3], the frame depth modulo 4), as carried by [Uop.srcs] and
+    [Uop.dst].  Registers alias modulo 65536.  The only producer of
+    tokens. *)
+
 val decode : ?trigger:(string -> Ir.label -> bool) -> Ir.program -> program
 (** [trigger f header] marks the blocks at which a serial context
     suspends (the selected parallel-loop headers); default: none. *)

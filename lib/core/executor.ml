@@ -178,6 +178,10 @@ type phase = Serial | Parallel of par_state
 (* Growable log of one (segment, origin)'s conventional signal cycles. *)
 type conv_log = { mutable times : int array; mutable len : int }
 
+(* The log of every (segment, origin) that has not signalled: shared and
+   never written ([conv_signal_record] replaces it before appending). *)
+let no_conv_log = { times = [||]; len = 0 }
+
 type t = {
   cfg : config;
   compiled : Hcc.compiled option;
@@ -219,8 +223,9 @@ type t = {
   mutable sig_active : int;
   mutable sched_changed : bool;
   (* conventional signalling: store cycles per (seg, origin), in order,
-     keyed [seg * n + origin] *)
-  conv_signals : (int, conv_log) Hashtbl.t;
+     indexed [seg * n + origin]; grows on record, [no_conv_log] where
+     nothing was recorded *)
+  mutable conv_signals : conv_log array;
   (* addresses of demoted-register cells, for routing *)
   reg_cells : (int, unit) Hashtbl.t;
   (* robustness state *)
@@ -239,7 +244,7 @@ type t = {
      iteration space: per-core privatization slots are [iter mod n]
      (reduction partials, last-value stamps), so a reknit must keep the
      modulus and the lane->slot mapping intact.  [owned.(c)] is the
-     sorted list of lanes core [c] currently executes: initially [[c]];
+     sorted array of lanes core [c] currently executes: initially [|c|];
      a dead core's lanes are adopted round-robin by the survivors
      (balanced, lowest-loaded first), so each lane -- and hence each
      privatization slot -- still has exactly one owner and the
@@ -248,31 +253,32 @@ type t = {
      fixed-n round robin.  [pending_death] is the fault plan's
      scheduled fail-stop, consumed by the scheduler at its cycle. *)
   alive : bool array;
-  owned : int list array;
+  owned : int array array;
   mutable n_active : int;
   mutable pending_death : (int * int) option;  (* (node, cycle) *)
 }
 
 (* Global iteration for core [c]'s [k]-th local iteration: lanes repeat
    every [t.n] iterations, so with [m] owned lanes the worker sweeps its
-   sorted lane list once per block of [t.n].  Reduces to [k * n + c]
-   when [owned.(c) = [c]]. *)
+   sorted lane array once per block of [t.n].  Reduces to [k * n + c]
+   when [owned.(c) = [|c|]]. *)
 let iter_of_local t ~core ~local_iter =
   let lanes = t.owned.(core) in
-  let m = List.length lanes in
-  (t.n * (local_iter / m)) + List.nth lanes (local_iter mod m)
+  let m = Array.length lanes in
+  (t.n * (local_iter / m)) + lanes.(local_iter mod m)
 
 (* How many of core [c']'s iterations precede global iteration [g]:
    whole blocks contribute all of its lanes, the partial block the lanes
    below [g mod n].  This is the signal threshold [g]'s segments must
    wait for from origin [c']. *)
-let rec count_below r = function
-  | [] -> 0
-  | l :: rest -> (if l < r then 1 else 0) + count_below r rest
+let rec count_below lanes r i =
+  if i < Array.length lanes && lanes.(i) < r then count_below lanes r (i + 1)
+  else i
 
 let iters_before t ~core:c' ~iter:g =
   let q = g / t.n and r = g mod t.n in
-  (List.length t.owned.(c') * q) + count_below r t.owned.(c')
+  let lanes = t.owned.(c') in
+  (Array.length lanes * q) + count_below lanes r 0
 
 let find_loop t ~func ~header =
   match t.compiled with
@@ -290,15 +296,30 @@ let traced = ref 0
 
 let conv_key t ~seg ~origin = (seg * t.n) + origin
 
+let find_conv_log t ~seg ~origin =
+  let key = conv_key t ~seg ~origin in
+  if key < Array.length t.conv_signals then t.conv_signals.(key)
+  else no_conv_log
+
+let conv_signals_reset t =
+  Array.fill t.conv_signals 0 (Array.length t.conv_signals) no_conv_log
+
 let conv_signal_record t ~seg ~origin ~cycle =
   let key = conv_key t ~seg ~origin in
+  let size = Array.length t.conv_signals in
+  if key >= size then begin
+    let logs = Array.make (max (key + 1) (2 * size)) no_conv_log in
+    Array.blit t.conv_signals 0 logs 0 size;
+    t.conv_signals <- logs
+  end;
   let log =
-    match Hashtbl.find t.conv_signals key with
-    | log -> log
-    | exception Not_found ->
-        let log = { times = Array.make 16 0; len = 0 } in
-        Hashtbl.replace t.conv_signals key log;
-        log
+    let log = t.conv_signals.(key) in
+    if log != no_conv_log then log
+    else begin
+      let log = { times = Array.make 16 0; len = 0 } in
+      t.conv_signals.(key) <- log;
+      log
+    end
   in
   if log.len = Array.length log.times then begin
     let times = Array.make (2 * log.len) 0 in
@@ -318,19 +339,14 @@ let conv_signal_record t ~seg ~origin ~cycle =
 let conv_signal_visible t ~seg ~origin ~threshold ~cycle =
   if threshold <= 0 then true
   else
-    match Hashtbl.find t.conv_signals (conv_key t ~seg ~origin) with
-    | exception Not_found -> false
-    | log ->
-        log.len >= threshold
-        && log.times.(threshold - 1)
-           (* serialized signal request + transmission (Section 3.2) *)
-           + (2 * t.cfg.mach.Mach_config.mem.Mach_config.c2c_latency)
-           <= cycle
+    let log = find_conv_log t ~seg ~origin in
+    log.len >= threshold
+    && log.times.(threshold - 1)
+       (* serialized signal request + transmission (Section 3.2) *)
+       + (2 * t.cfg.mach.Mach_config.mem.Mach_config.c2c_latency)
+       <= cycle
 
-let conv_signals_received t ~seg ~origin =
-  match Hashtbl.find t.conv_signals (conv_key t ~seg ~origin) with
-  | log -> log.len
-  | exception Not_found -> 0
+let conv_signals_received t ~seg ~origin = (find_conv_log t ~seg ~origin).len
 
 (* ---- shared-world callback for core [c] ---- *)
 
@@ -659,7 +675,7 @@ let begin_parallel t (pl : Parallel_loop.t) =
         (sr, r0))
       pl.Parallel_loop.pl_shared_regs
   in
-  Hashtbl.reset t.conv_signals;
+  conv_signals_reset t;
   Queue.clear t.conv_vis;
   spawn_workers t;
   t.phase <-
@@ -801,7 +817,7 @@ let do_fallback t (ps : par_state) ~reason =
   in
   (match t.ring with Some r -> Ring.abort r | None -> ());
   Memory.restore t.mem ~from:cp;
-  Hashtbl.reset t.conv_signals;
+  conv_signals_reset t;
   Queue.clear t.conv_vis;
   for c = 0 to t.n - 1 do
     t.workers.(c) <- None
@@ -1009,7 +1025,7 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
       sig_stopped = false;
       sig_active = n;
       sched_changed = false;
-      conv_signals = Hashtbl.create 64;
+      conv_signals = [||];
       reg_cells;
       depcheck = Depcheck.create ();
       mk_core = (fun _ -> invalid_arg "Executor: cores not initialized");
@@ -1019,7 +1035,7 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
       wake_ring = (fun ~at:_ -> ());
       shared_poke = false;
       alive = Array.make n true;
-      owned = Array.init n (fun c -> [ c ]);
+      owned = Array.init n (fun c -> [| c |]);
       n_active = n;
       pending_death =
         (match cfg.ring_cfg with
@@ -1129,7 +1145,8 @@ let stuck_report t ~reason =
                    Some
                      (Printf.sprintf "%d:[%s]" c
                         (String.concat ";"
-                           (List.map string_of_int t.owned.(c))))
+                           (Array.to_list
+                              (Array.map string_of_int t.owned.(c)))))
                  else None)
                (List.init t.n Fun.id))));
   (match t.phase with
@@ -1224,20 +1241,23 @@ let stuck_snapshot t ~reason : Json.t =
    (lowest id on ties).  Keeps every lane single-owner, so the compiled
    [iter mod n] privatization slots stay exclusive. *)
 let adopt_lanes t ~dead =
-  List.iter
+  Array.iter
     (fun lane ->
       let best = ref (-1) in
       for c = t.n - 1 downto 0 do
         if
           t.alive.(c)
           && (!best < 0
-             || List.length t.owned.(c) <= List.length t.owned.(!best))
+             || Array.length t.owned.(c) <= Array.length t.owned.(!best))
         then best := c
       done;
-      if !best >= 0 then
-        t.owned.(!best) <- List.sort compare (lane :: t.owned.(!best)))
+      if !best >= 0 then begin
+        let lanes = Array.append [| lane |] t.owned.(!best) in
+        Array.sort compare lanes;
+        t.owned.(!best) <- lanes
+      end)
     t.owned.(dead);
-  t.owned.(dead) <- [];
+  t.owned.(dead) <- [||];
   t.n_active <- 0;
   for c = 0 to t.n - 1 do
     if t.alive.(c) then t.n_active <- t.n_active + 1

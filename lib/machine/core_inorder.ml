@@ -12,7 +12,7 @@ type t = {
   supply : Core_model.supply;
   stats : Stats.t;
   predictor : Branch_pred.t;
-  reg_ready : (int, int) Hashtbl.t;
+  reg_ready : Scoreboard.t;
   mutable pending : Uop.t option;  (* fetched, not yet issued *)
   mutable fetch_avail : int;       (* front-end redirect until this cycle *)
   mutable mem_busy_until : int;    (* blocking data-cache port *)
@@ -48,7 +48,7 @@ let create ~id ?retired_sink cfg supply =
     supply;
     stats = Stats.create ?retired_sink ();
     predictor = Branch_pred.create ();
-    reg_ready = Hashtbl.create 64;
+    reg_ready = Scoreboard.create ();
     pending = None;
     fetch_avail = 0;
     mem_busy_until = 0;
@@ -60,7 +60,7 @@ let create ~id ?retired_sink cfg supply =
     ne_changed = false;
   }
 
-let ready t r = try Hashtbl.find t.reg_ready r with Not_found -> 0
+let ready t r = Scoreboard.get t.reg_ready r
 
 (* Closure-free walks over a uop's sources: both run on every issue
    attempt. *)
@@ -72,7 +72,7 @@ let srcs_ready t (u : Uop.t) cycle = all_ready t cycle u.Uop.srcs
 
 let set_dst t (u : Uop.t) c =
   match u.Uop.dst with
-  | Some d -> Hashtbl.replace t.reg_ready d c
+  | Some d -> Scoreboard.set t.reg_ready d c
   | None -> ()
 
 let rec latest_ready t acc = function

@@ -25,7 +25,7 @@ type t = {
   supply : Core_model.supply;
   stats : Stats.t;
   predictor : Branch_pred.t;
-  reg_ready : (int, int) Hashtbl.t;        (* committed producers *)
+  reg_ready : Scoreboard.t;                (* committed producers *)
   reg_writer : (int, entry) Hashtbl.t;     (* latest in-window writer *)
   mutable window : entry list;             (* oldest first *)
   mutable window_size : int;
@@ -46,7 +46,7 @@ let create ?retired_sink cfg supply =
     supply;
     stats = Stats.create ?retired_sink ();
     predictor = Branch_pred.create ();
-    reg_ready = Hashtbl.create 64;
+    reg_ready = Scoreboard.create ();
     reg_writer = Hashtbl.create 64;
     window = [];
     window_size = 0;
@@ -60,7 +60,7 @@ let create ?retired_sink cfg supply =
     ne_idle_ticks = 0;
   }
 
-let reg_ready_at t r = try Hashtbl.find t.reg_ready r with Not_found -> 0
+let reg_ready_at t r = Scoreboard.get t.reg_ready r
 
 let srcs_ready t (e : entry) cycle =
   List.for_all (fun d -> d.issued && d.completion <= cycle) e.deps
@@ -224,7 +224,7 @@ let commit t cycle =
           t.stats.Stats.retired_sync <- t.stats.Stats.retired_sync + 1;
         (match e.u.Uop.dst with
         | Some d ->
-            Hashtbl.replace t.reg_ready d e.completion;
+            Scoreboard.set t.reg_ready d e.completion;
             (match Hashtbl.find_opt t.reg_writer d with
             | Some w when w == e -> Hashtbl.remove t.reg_writer d
             | _ -> ());

@@ -11,6 +11,10 @@ type bucket =
   | Idle
 
 val all_buckets : bucket list
+val bucket_index : bucket -> int
+(** Position of a bucket in [by_bucket]: [0] to [6], in the order of
+    {!all_buckets}. *)
+
 val bucket_name : bucket -> string
 
 type t = {
@@ -19,7 +23,8 @@ type t = {
   mutable retired_sync : int;
   mutable shared_loads : int;
   mutable shared_stores : int;
-  by_bucket : (bucket, int) Hashtbl.t;
+  by_bucket : int array;
+      (** cycles per bucket, indexed by {!bucket_index} *)
   retired_sink : int ref;
 }
 

@@ -32,6 +32,10 @@ type t = {
   kind : kind;
   srcs : int list;           (* source register tokens *)
   dst : int option;          (* destination register token *)
+      (* Register tokens are small non-negative ints: the core models
+         index dense arrays with them ([Scoreboard]).  In a simulation,
+         [Context.token] is their only producer; a token is at most
+         4 * the largest register + 3. *)
   sink : (int -> unit) option; (* receives a shared load's value *)
   mutable meta : int;
       (* runtime tag: the executor stamps each worker uop with the local

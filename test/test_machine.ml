@@ -328,12 +328,136 @@ let stats_tests =
         let m = Stats.merge [ a; b ] in
         check Alcotest.int "cycles" 3 m.Stats.cycles;
         check Alcotest.int "busy" 2 (Stats.get m Stats.Busy));
+    tc "bucket_index numbers all_buckets in order" (fun () ->
+        check
+          Alcotest.(list int)
+          "indices" [ 0; 1; 2; 3; 4; 5; 6 ]
+          (List.map Stats.bucket_index Stats.all_buckets));
     tc "fraction" (fun () ->
         let s = Stats.create () in
         Stats.charge s Stats.Busy;
         Stats.charge s Stats.Idle;
         check (Alcotest.float 0.001) "half" 0.5 (Stats.fraction s Stats.Busy));
   ]
+
+(* ---- dense structures against reference models ---------------------------- *)
+
+(* the largest token [Context.token] builds: class 3 of register 0xffff *)
+let max_token = (0xffff lsl 2) lor 3
+
+let gen_token =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_range 0 63);
+        (2, int_range 0 1023);
+        (1, int_range 0 max_token);
+        (1, return max_token);
+      ])
+
+let prop_scoreboard_model =
+  QCheck.Test.make ~name:"scoreboard agrees with a Hashtbl model" ~count:300
+    QCheck.(
+      make
+        ~print:Print.(list (pair int int))
+        Gen.(
+          list_size (int_range 0 200)
+            (pair gen_token (int_range 0 1_000_000))))
+    (fun writes ->
+      let sb = Scoreboard.create () and model = Hashtbl.create 64 in
+      let read r = Option.value (Hashtbl.find_opt model r) ~default:0 in
+      (* each write is checked against a read before and after it; at the
+         end every token is read again, so growth must keep earlier
+         writes *)
+      List.for_all
+        (fun (r, c) ->
+          let before = Scoreboard.get sb r = read r in
+          Scoreboard.set sb r c;
+          Hashtbl.replace model r c;
+          before && Scoreboard.get sb r = c)
+        writes
+      && List.for_all
+           (fun (r, _) ->
+             Scoreboard.get sb r = read r
+             && Scoreboard.get sb (r + 1) = read (r + 1))
+           writes
+      && Scoreboard.get sb max_token = read max_token)
+
+(* A charge: bucket position in [all_buckets], [charge_n] or [charge],
+   and the [charge_n] count (possibly <= 0, which records nothing). *)
+let gen_charges =
+  QCheck.Gen.(
+    list_size (int_range 0 120)
+      (triple (int_range 0 6) bool (int_range (-3) 40)))
+
+let ref_get charges b =
+  List.fold_left
+    (fun acc (i, bulk, n) ->
+      if List.nth Stats.all_buckets i <> b then acc
+      else if bulk then acc + max 0 n
+      else acc + 1)
+    0 charges
+
+let ref_cycles charges =
+  List.fold_left (fun acc b -> acc + ref_get charges b) 0 Stats.all_buckets
+
+let ref_fraction charges b =
+  let c = ref_cycles charges in
+  if c = 0 then 0.0 else float_of_int (ref_get charges b) /. float_of_int c
+
+let stats_match t charges =
+  t.Stats.cycles = ref_cycles charges
+  && List.for_all
+       (fun b ->
+         Stats.get t b = ref_get charges b
+         && Stats.fraction t b = ref_fraction charges b)
+       Stats.all_buckets
+
+let prop_stats_model =
+  QCheck.Test.make ~name:"stats agree with a list-fold reference" ~count:300
+    QCheck.(
+      make
+        ~print:Print.(pair int (list (triple int bool int)))
+        Gen.(pair (int_range 1 4) gen_charges))
+    (fun (parts, charges) ->
+      (* deal the charges round-robin over [parts] accounts, then merge *)
+      let ts = Array.init parts (fun _ -> Stats.create ()) in
+      List.iteri
+        (fun k (i, bulk, n) ->
+          let t = ts.(k mod parts) and b = List.nth Stats.all_buckets i in
+          if bulk then Stats.charge_n t b n else Stats.charge t b)
+        charges;
+      let part p = List.filteri (fun k _ -> k mod parts = p) charges in
+      let m = Stats.merge (Array.to_list ts) in
+      let reg = Helix_obs.Metrics.create () in
+      Stats.export_metrics ~prefix:"p" m reg;
+      let expected =
+        [
+          ("p.cycles", Helix_obs.Metrics.Int (ref_cycles charges));
+          ("p.retired", Helix_obs.Metrics.Int 0);
+          ("p.retired_sync", Helix_obs.Metrics.Int 0);
+          ("p.shared_loads", Helix_obs.Metrics.Int 0);
+          ("p.shared_stores", Helix_obs.Metrics.Int 0);
+          ("p.ipc", Helix_obs.Metrics.Float 0.0);
+        ]
+        @ List.concat_map
+            (fun b ->
+              let name = Stats.bucket_name b in
+              [
+                ("p.bucket." ^ name, Helix_obs.Metrics.Int (ref_get charges b));
+                ( "p.frac." ^ name,
+                  Helix_obs.Metrics.Float (ref_fraction charges b) );
+              ])
+            Stats.all_buckets
+      in
+      Array.for_all Fun.id
+        (Array.mapi (fun p t -> stats_match t (part p)) ts)
+      && stats_match m charges
+      && Helix_obs.Metrics.names reg
+         = List.sort compare (List.map fst expected)
+      && List.for_all
+           (fun (k, v) -> Helix_obs.Metrics.find reg k = Some v)
+           expected)
 
 (* property: random uop streams retire completely on both cores *)
 let gen_uops =
@@ -360,6 +484,8 @@ let props =
     [
       prop_all_retire `In_order "in-order retires every random stream";
       prop_all_retire `Ooo "out-of-order retires every random stream";
+      prop_scoreboard_model;
+      prop_stats_model;
     ]
 
 let () =

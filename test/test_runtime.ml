@@ -829,6 +829,30 @@ let context_tests =
             Alcotest.(check bool) (s.name ^ " memory") true
               (Memory.equal g.Helix.g_mem mem))
           scenarios);
+    tc "register tokens keep the old equality classes" (fun () ->
+        (* the formula before the depth class moved to the low bits *)
+        let old_token cls r = (cls lsl 16) lor (r land 0xffff) in
+        let keys =
+          List.concat_map
+            (fun cls -> List.map (fun r -> (cls, r)) [ 0; 1; 0xffff; 0x10000 ])
+            [ 0; 1; 2; 3 ]
+        in
+        List.iter
+          (fun (c1, r1) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "token %d %d non-negative" c1 r1)
+              true
+              (Context.token c1 r1 >= 0);
+            List.iter
+              (fun (c2, r2) ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "(%d,%d) = (%d,%d)" c1 r1 c2 r2)
+                  (old_token c1 r1 = old_token c2 r2)
+                  (Context.token c1 r1 = Context.token c2 r2))
+              keys)
+          keys;
+        check Alcotest.int "largest token" ((0xffff lsl 2) lor 3)
+          (Context.token 3 0xffff));
     tc "wait_depth counts wait/signal" (fun () ->
         let b = Builder.create "main" in
         Builder.wait b 0;
