@@ -87,16 +87,13 @@ let part1 () =
 
 (* ---- engine A/B: simulated cycles per second ------------------------- *)
 
-(* Wall-clock all three engines over the CINT set in the two
-   configurations every figure pairs (HELIX ring-decoupled and
-   conventional coupled) and record simulated cycles per host second.
-   Results are bit-identical by construction (test/test_engine.ml proves
-   it), so the event/legacy and heap/legacy ratios are the engines'
-   figures of merit.  The heap engine additionally reports per-workload
-   elision ratios -- event (rescan fast-forward only) is the "before",
-   heap (wake-heap windows + serial-phase interpret-ahead) the "after".
-   The table lands in BENCH_engine.json so the perf trajectory has
-   data. *)
+(* Wall-clock both engines over the CINT set in the two configurations
+   every figure pairs (HELIX ring-decoupled and conventional coupled) and
+   record simulated cycles per host second.  Results are bit-identical by
+   construction (test/test_engine.ml proves it), so the event/legacy
+   ratio is the event engine's figure of merit; per-workload elision
+   ratios show where it comes from.  The table lands in
+   BENCH_engine.json so the perf trajectory has data. *)
 
 let engine_ab () =
   Fmt.pr "@.== engine A/B: simulated cycles/sec (CINT set) ==@.";
@@ -137,7 +134,7 @@ let engine_ab () =
      the signal.  Cycle totals are engine-independent (bit-identical
      results), so accumulating them from one side is enough. *)
   let total_cycles = ref 0 in
-  let l_dt = ref 0.0 and e_dt = ref 0.0 and h_dt = ref 0.0 in
+  let l_dt = ref 0.0 and e_dt = ref 0.0 in
   let detail = ref [] in
   List.iter
     (fun ((wl : Workload.t), c, fresh_mem) ->
@@ -146,53 +143,40 @@ let engine_ab () =
         (fun helix ->
           let legacy_cfg = cfg_of ~helix Helix_engine.Engine.Legacy in
           let event_cfg = cfg_of ~helix Helix_engine.Engine.Event in
-          let heap_cfg = cfg_of ~helix Helix_engine.Engine.Heap in
           ignore (time_one legacy_cfg p) (* warmup *);
-          let l_best = ref infinity
-          and e_best = ref infinity
-          and h_best = ref infinity in
+          let l_best = ref infinity and e_best = ref infinity in
           let cycles = ref 0 in
-          let e_ratio = ref 0.0 and h_ratio = ref 0.0 in
+          let e_ratio = ref 0.0 in
           for _ = 1 to 3 do
             let lr, ld = time_one legacy_cfg p in
             let er, ed = time_one event_cfg p in
-            let hr, hd = time_one heap_cfg p in
             cycles := lr.Executor.r_cycles;
             e_ratio := skip_ratio er;
-            h_ratio := skip_ratio hr;
             if ld < !l_best then l_best := ld;
-            if ed < !e_best then e_best := ed;
-            if hd < !h_best then h_best := hd
+            if ed < !e_best then e_best := ed
           done;
           total_cycles := !total_cycles + !cycles;
           l_dt := !l_dt +. !l_best;
           e_dt := !e_dt +. !e_best;
-          h_dt := !h_dt +. !h_best;
           detail :=
-            ( wl.Workload.name,
-              (if helix then "helix" else "conventional"),
-              !e_ratio,
-              !h_ratio )
+            (wl.Workload.name, (if helix then "helix" else "conventional"),
+             !e_ratio)
             :: !detail)
         [ true; false ])
     prepared;
   let detail = List.rev !detail in
-  let l_dt = !l_dt and e_dt = !e_dt and h_dt = !h_dt in
+  let l_dt = !l_dt and e_dt = !e_dt in
   let rate dt = float_of_int !total_cycles /. Float.max dt 1e-9 in
-  let l_rate = rate l_dt and e_rate = rate e_dt and h_rate = rate h_dt in
+  let l_rate = rate l_dt and e_rate = rate e_dt in
   let e_speedup = e_rate /. Float.max l_rate 1e-9 in
-  let h_speedup = h_rate /. Float.max l_rate 1e-9 in
   Fmt.pr "  legacy: %d cycles in %.3fs = %.0f cycles/sec@." !total_cycles l_dt
     l_rate;
   Fmt.pr "  event:  %d cycles in %.3fs = %.0f cycles/sec@." !total_cycles e_dt
     e_rate;
-  Fmt.pr "  heap:   %d cycles in %.3fs = %.0f cycles/sec@." !total_cycles h_dt
-    h_rate;
-  Fmt.pr "  event/legacy: %.2fx   heap/legacy: %.2fx@." e_speedup h_speedup;
-  Fmt.pr "  elided-cycle ratio (event -> heap):@.";
+  Fmt.pr "  event/legacy: %.2fx@." e_speedup;
+  Fmt.pr "  elided-cycle ratio (event):@.";
   List.iter
-    (fun (name, cfg, er, hr) ->
-      Fmt.pr "    %-14s %-12s %.3f -> %.3f@." name cfg er hr)
+    (fun (name, cfg, er) -> Fmt.pr "    %-14s %-12s %.3f@." name cfg er)
     detail;
   let side cycles dt r =
     Helix_obs.Json.Obj
@@ -213,19 +197,16 @@ let engine_ab () =
                prepared) );
         ("legacy", side !total_cycles l_dt l_rate);
         ("event", side !total_cycles e_dt e_rate);
-        ("heap", side !total_cycles h_dt h_rate);
         ("event_over_legacy", Helix_obs.Json.Float e_speedup);
-        ("heap_over_legacy", Helix_obs.Json.Float h_speedup);
         ( "skip_ratio",
           Helix_obs.Json.List
             (List.map
-               (fun (name, cfg, er, hr) ->
+               (fun (name, cfg, er) ->
                  Helix_obs.Json.Obj
                    [
                      ("workload", Helix_obs.Json.String name);
                      ("config", Helix_obs.Json.String cfg);
                      ("event", Helix_obs.Json.Float er);
-                     ("heap", Helix_obs.Json.Float hr);
                    ])
                detail) );
       ]
@@ -261,7 +242,7 @@ let run_mcf engine =
   let cfg = Exp_common.helix_cfg ~engine () in
   ignore (Executor.run ~compiled:c cfg c.Hcc.cp_prog (fresh_mem ()))
 
-(* Serial-heavy workload: the interpret-ahead batching benchmark. *)
+(* Serial-heavy workload: long single-core phases between loops. *)
 let vpr_prepared =
   lazy
     (let wl = Registry.find "175.vpr" in
@@ -427,46 +408,8 @@ let bench_tests =
       (Staged.stage (fun () -> run_mcf Helix_engine.Engine.Legacy));
     Test.make ~name:"engine: event fast-forward, mcf (stall-heavy)"
       (Staged.stage (fun () -> run_mcf Helix_engine.Engine.Event));
-    Test.make ~name:"engine: heap wake-up windows, mcf (stall-heavy)"
-      (Staged.stage (fun () -> run_mcf Helix_engine.Engine.Heap));
     Test.make ~name:"engine: event fast-forward, vpr (serial-heavy)"
       (Staged.stage (fun () -> run_vpr Helix_engine.Engine.Event));
-    Test.make ~name:"engine: heap + interpret-ahead, vpr (serial-heavy)"
-      (Staged.stage (fun () -> run_vpr Helix_engine.Engine.Heap));
-    Test.make ~name:"engine: wake-heap 64k push/pop, 32 ids"
-      (Staged.stage (fun () ->
-           (* the heap engine's inner data structure: interleaved
-              promise pushes and minimum pops, keys drifting forward as
-              simulated time advances *)
-           let h = Helix_engine.Wake_heap.create () in
-           let seed = ref 123456789 in
-           let rnd bound =
-             seed := (!seed * 1103515245) + 12345;
-             (!seed lsr 16) mod bound
-           in
-           for i = 0 to 65_535 do
-             Helix_engine.Wake_heap.push h ~cycle:(i + rnd 64)
-               ~id:(i land 31);
-             if i land 1 = 0 then Helix_engine.Wake_heap.drop h
-           done;
-           while Helix_engine.Wake_heap.peek h <> None do
-             Helix_engine.Wake_heap.drop h
-           done));
-    Test.make ~name:"engine: 64k full rescans, 32 components"
-      (Staged.stage (fun () ->
-           (* what the event engine does instead of a heap: poll every
-              component's promise each round and take the minimum *)
-           let promises = Array.init 32 (fun i -> (i * 37) land 1023) in
-           let best = ref 0 in
-           for now = 0 to 65_535 do
-             let w = ref max_int in
-             for i = 0 to 31 do
-               let e = now + promises.(i) in
-               if e < !w then w := e
-             done;
-             best := !w
-           done;
-           ignore !best));
     Test.make ~name:"pool: 4 interp runs, 1 job"
       (Staged.stage (fun () ->
            Exp_common.Pool.set_jobs 1;

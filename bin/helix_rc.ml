@@ -284,25 +284,22 @@ let faults_arg =
   in
   Arg.(value & opt (some fconv) None & info [ "faults" ] ~docv:"SPEC" ~doc)
 
+let engine_conv =
+  Arg.conv
+    ( (fun s ->
+        match Helix_engine.Engine.kind_of_string s with
+        | Some k -> Ok k
+        | None -> Error (`Msg ("unknown engine " ^ s ^ " (legacy|event)"))),
+      fun ppf k -> Fmt.string ppf (Helix_engine.Engine.kind_to_string k) )
+
 let engine_arg =
   let doc =
     "Simulation engine: $(b,legacy) ticks every cycle, $(b,event) \
-     fast-forwards across provably idle cycle windows by a full \
-     component rescan, $(b,heap) tracks wake-up promises in a min-heap \
-     and batch-executes quiescent serial phases \
-     (HELIX_INTERPRET_AHEAD=0 disables the batching).  Results are \
+     fast-forwards across provably idle cycle windows.  Results are \
      bit-identical; only wall-clock differs.  Defaults to the \
-     HELIX_ENGINE environment variable, or $(b,heap)."
+     HELIX_ENGINE environment variable, or $(b,event)."
   in
-  let econv =
-    Arg.conv
-      ( (fun s ->
-          match Helix_engine.Engine.kind_of_string s with
-          | Some k -> Ok k
-          | None -> Error (`Msg ("unknown engine " ^ s ^ " (legacy|event|heap)"))),
-        fun ppf k -> Fmt.string ppf (Helix_engine.Engine.kind_to_string k) )
-  in
-  Arg.(value & opt (some econv) None & info [ "engine" ] ~docv:"ENGINE" ~doc)
+  Arg.(value & opt (some engine_conv) None & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 (* HELIX-RC run honouring --trace/--check/--strict/--jitter/--faults/
    --engine: any of them bypasses the memo cache (the cached result has
@@ -493,19 +490,10 @@ let chaos_cmd =
   in
   let engine_filter_arg =
     let doc =
-      "Restrict the sweep to one engine (legacy, event or heap); default \
-       is all three."
+      "Restrict the sweep to one engine (legacy or event); default is \
+       both."
     in
-    let econv =
-      Arg.conv
-        ( (fun s ->
-            match Helix_engine.Engine.kind_of_string s with
-            | Some k -> Ok k
-            | None ->
-                Error (`Msg ("unknown engine " ^ s ^ " (legacy|event|heap)"))),
-          fun ppf k -> Fmt.string ppf (Helix_engine.Engine.kind_to_string k) )
-    in
-    Arg.(value & opt (some econv) None & info [ "engine" ] ~docv:"ENGINE" ~doc)
+    Arg.(value & opt (some engine_conv) None & info [ "engine" ] ~docv:"ENGINE" ~doc)
   in
   let workload_filter_arg =
     let doc = "Restrict the sweep to one workload; default is the registry." in
@@ -568,6 +556,12 @@ let stuck_exit_code = function
   | Executor.Faulted -> 13
 
 let () =
+  (* an unknown HELIX_ENGINE is a usage error, reported like a bad
+     --engine value before any command runs *)
+  (try ignore (Executor.default_engine ())
+   with Invalid_argument m ->
+     Printf.eprintf "helix-rc: %s\n%!" m;
+     exit Cmd.Exit.cli_error);
   let doc = "HELIX-RC (ISCA 2014) reproduction" in
   let info = Cmd.info "helix-rc" ~version:"1.0" ~doc in
   let group =

@@ -1,5 +1,5 @@
 (* Chaos harness: registry workloads under seeded lossy-ring fault
-   schedules, across all three simulation engines, every run checked
+   schedules, across both simulation engines, every run checked
    against the differential oracle.
 
    A schedule is derived purely from its integer seed: the four
@@ -137,7 +137,7 @@ type summary = {
   s_failures : run_result list;  (* mismatches and unexpected deaths *)
 }
 
-let default_engines = [ Engine.Legacy; Engine.Event; Engine.Heap ]
+let default_engines = [ Engine.Legacy; Engine.Event ]
 
 let summarize (runs : run_result list) : summary =
   List.fold_left

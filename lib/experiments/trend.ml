@@ -32,9 +32,10 @@ let rate_of json engine =
   | Some side ->
       Option.bind (Json.member "cycles_per_sec" side) Json.to_float_opt
 
-(* Engines present in both files are compared; an engine only present in
-   one side is a note (the set legitimately grows when a new engine
-   lands, and the very first run after that has no baseline for it). *)
+(* The current engines present in both files are compared; one only
+   present in the new file is a note (the very first run after an engine
+   lands has no baseline for it).  Keys of retired engines that a
+   baseline still carries are ignored. *)
 let compare_engine ?(threshold = 0.10) ~old_json ~new_json () :
     finding list =
   match (Json.of_string old_json, Json.of_string new_json) with
@@ -63,7 +64,7 @@ let compare_engine ?(threshold = 0.10) ~old_json ~new_json () :
           | Some _, None ->
               [ fail "%s engine disappeared from BENCH_engine.json" engine ]
           | None, None -> [])
-        [ "legacy"; "event"; "heap" ]
+        [ "legacy"; "event" ]
 
 (* ---- figure shape ---------------------------------------------------- *)
 

@@ -301,7 +301,6 @@ type t = {
      cycle. *)
   mutable inflight_data : int;
   mutable inflight_sig : int;
-  mutable tick_did_work : bool;
   faults_on : bool;  (* cached cfg.faults <> None: one branch on hot paths *)
   mutable retransmits : int;        (* messages resent on timer expiry *)
   mutable drops_detected : int;     (* hop gaps seen by receivers *)
@@ -353,7 +352,6 @@ let create ?trace (cfg : config) (env : env) : t =
     messages_retired = 0;
     inflight_data = 0;
     inflight_sig = 0;
-    tick_did_work = false;
     faults_on = cfg.faults <> None;
     retransmits = 0;
     drops_detected = 0;
@@ -605,7 +603,6 @@ let faulty_put t (msg : Msg.t) i ~cycle =
       let wire = wire_of_msg msg in
       let fired fclass =
         t.faults_injected <- t.faults_injected + 1;
-        t.tick_did_work <- true;
         Helix_obs.Trace.fault t.trace ~cycle ~fclass ~link:i ~wire ~hop
       in
       if roll < p.fl_drop then fired "drop" (* nothing reaches the wire *)
@@ -678,7 +675,6 @@ let process_acks t (hs : hop_state) ~cycle =
     else continue_ := false
   done;
   if !progressed then begin
-    t.tick_did_work <- true;
     while
       (not (Queue.is_empty hs.hs_rtx))
       && (Queue.peek hs.hs_rtx).Msg.hop <= hs.hs_acked
@@ -710,7 +706,6 @@ let check_retransmit t (n : node) (hs : hop_state) ~wire ~cycle =
     hs.hs_attempt <- hs.hs_attempt + 1;
     hs.hs_deadline <-
       cycle + (rtx_base t lsl min hs.hs_attempt max_backoff_shift);
-    t.tick_did_work <- true;
     Helix_obs.Trace.retransmit t.trace ~cycle ~node:n.id ~wire ~count
       ~attempt:hs.hs_attempt
   end
@@ -736,11 +731,9 @@ let deliver t ~cycle ~data =
       if arrival <= cycle then begin
         let _, msg = Queue.pop link in
         if not t.faults_on then begin
-          Queue.add msg (in_q_of ~data dst);
-          t.tick_did_work <- true
+          Queue.add msg (in_q_of ~data dst)
         end
         else begin
-          t.tick_did_work <- true;
           let rhs = hop_state_of ~data dst in
           if not (Msg.valid msg) then
             t.corrupts_detected <- t.corrupts_detected + 1
@@ -792,7 +785,6 @@ let run_class t ~cycle (n : node) ~data ~greedy_inject =
       let msg = Queue.pop in_q in
       let keep = apply_at t n msg in
       decr budget;
-      t.tick_did_work <- true;
       if keep then begin
         send t msg n.id ~cycle;
         n.forwarded <- n.forwarded + 1;
@@ -816,7 +808,6 @@ let run_class t ~cycle (n : node) ~data ~greedy_inject =
         else begin
           ignore (Queue.pop inject_q);
           decr budget;
-          t.tick_did_work <- true;
           if t.cfg.n_nodes > 1 then send t msg n.id ~cycle
           else begin
             (* degenerate single-node ring: the message retires at its
@@ -858,7 +849,6 @@ let repeater t ~cycle (n : node) ~data =
     else begin
       let msg = Queue.pop in_q in
       decr budget;
-      t.tick_did_work <- true;
       if travels_on then begin
         send t msg n.id ~cycle;
         n.forwarded <- n.forwarded + 1
@@ -868,7 +858,6 @@ let repeater t ~cycle (n : node) ~data =
   done
 
 let tick t ~cycle =
-  t.tick_did_work <- false;
   deliver t ~cycle ~data:true;
   deliver t ~cycle ~data:false;
   (* 1b. sender-side protocol upkeep (NIC-level, so it runs even for a
@@ -921,7 +910,6 @@ let kill_node t ~node ~cycle =
     t.inflight_sig <- t.inflight_sig - lost_s;
     t.reknits <- t.reknits + 1;
     t.faults_injected <- t.faults_injected + 1;
-    t.tick_did_work <- true;
     Helix_obs.Trace.fault t.trace ~cycle ~fclass:"fail_stop" ~link:node
       ~wire:"core" ~hop:(-1);
     Helix_obs.Trace.reknit t.trace ~cycle ~node ~lost_data:lost_d
@@ -1026,7 +1014,7 @@ let protocol_wake ~now w (hs : hop_state) =
    or a link whose FIFO head arrival lower-bounds every delivery from
    it).  Waking a stalled node exactly at [stall_until], and link
    messages exactly at their arrival cycle, matches [tick]'s rules.  The
-   scan is closure-free: the heap engine polls it on busy cycles. *)
+   scan is closure-free: the event engine polls it on busy cycles. *)
 let next_event t ~now =
   let w = ref max_int in
   if t.faults_on then
@@ -1043,10 +1031,6 @@ let next_event t ~now =
 (* Is any message still in flight (links, input buffers, injections)?
    O(1) via the inflight roll-up. *)
 let drained t = t.inflight_data = 0 && t.inflight_sig = 0
-
-(* Did the last [tick] move or retire any message?  The heap engine uses
-   this to decide whether the ring must be re-polled. *)
-let tick_changed t = t.tick_did_work
 
 (* -- end-of-loop flush ----------------------------------------------- *)
 

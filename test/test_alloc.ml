@@ -8,7 +8,7 @@
    checked here, on every test run, rather than only by the benchmark.
 
    Each case runs 164.gzip on its Train input on the default 16-core
-   machine with the heap engine: sequentially, under HELIX-RC (ring,
+   machine with the default engine: sequentially, under HELIX-RC (ring,
    fully decoupled) and on the conventional machine (no ring, fully
    coupled).  The cycle counts are pinned -- the hot path must stay
    bit-identical -- and [Gc.minor_words] over the [Executor.run] window,
@@ -37,7 +37,7 @@ let gzip =
 
 let config ~ring mach =
   let comm = if ring then Executor.fully_decoupled else Executor.fully_coupled in
-  Executor.default_config ~ring ~comm ~engine:Helix_engine.Engine.Heap mach
+  Executor.default_config ~ring ~comm mach
 
 type case = {
   name : string;

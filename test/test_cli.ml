@@ -3,19 +3,23 @@
    name) only surfaces when cmdliner formats the page, as stderr noise or
    an exception, so each page is rendered with [--help=plain] and must
    leave stderr empty.  The subcommands are read off the top-level page,
-   so a new one is covered without editing this file. *)
+   so a new one is covered without editing this file.  An engine the
+   simulator does not have, named by flag or by environment, must be
+   refused with the accepted names. *)
 
 let exe = ref ""
 
 let read_file path =
   In_channel.with_open_bin path In_channel.input_all
 
-(* Run the CLI with [args]; returns (exit code, stdout, stderr). *)
-let run args =
+(* Run the CLI with [args], [env] bindings prepended to its environment;
+   returns (exit code, stdout, stderr). *)
+let run ?(env = []) args =
   let out = Filename.temp_file "helix_cli" ".out" in
   let err = Filename.temp_file "helix_cli" ".err" in
   let cmd =
-    String.concat " " (List.map Filename.quote (!exe :: args))
+    String.concat " "
+      (env @ List.map Filename.quote (!exe :: args))
     ^ " >" ^ Filename.quote out ^ " 2>" ^ Filename.quote err
   in
   let code = Sys.command cmd in
@@ -53,6 +57,27 @@ let check_page args =
   Alcotest.(check int) "exit code" 0 code;
   Alcotest.(check bool) "page rendered" true (String.length out > 0)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let check_refused ?env args =
+  let code, _, err = run ?env args in
+  Alcotest.(check bool) "non-zero exit" true (code <> 0);
+  Alcotest.(check bool)
+    ("stderr names legacy|event: " ^ err)
+    true
+    (contains err "legacy|event")
+
+let engine_tests =
+  [
+    Alcotest.test_case "HELIX_ENGINE=heap is refused" `Quick (fun () ->
+        check_refused ~env:[ "HELIX_ENGINE=heap" ] [ "run"; "164.gzip" ]);
+    Alcotest.test_case "--engine heap is refused" `Quick (fun () ->
+        check_refused [ "run"; "164.gzip"; "--engine"; "heap" ]);
+  ]
+
 let () =
   (match Array.to_list Sys.argv with
   | _ :: path :: _ -> exe := path
@@ -71,4 +96,5 @@ let () =
                Alcotest.test_case (c ^ " page renders") `Quick (fun () ->
                    check_page [ c ]))
              cmds );
+      ("engine", engine_tests);
     ]

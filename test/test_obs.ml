@@ -328,36 +328,30 @@ module Trend = Helix_experiments.Trend
 
 let trend_fails fs = List.length (Trend.failures fs)
 
-let engine_json ?(heap = true) ~legacy_rate ~event_rate ~heap_rate () =
+let engine_json ?(event = true) ~legacy_rate ~event_rate () =
   let side r =
     Printf.sprintf
       "{\"cycles\": 1000, \"seconds\": 1.0, \"cycles_per_sec\": %f}" r
   in
-  Printf.sprintf "{\"bench\": \"engine-ab\", \"legacy\": %s, \"event\": %s%s}"
-    (side legacy_rate) (side event_rate)
-    (if heap then Printf.sprintf ", \"heap\": %s" (side heap_rate) else "")
+  Printf.sprintf "{\"bench\": \"engine-ab\", \"legacy\": %s%s}"
+    (side legacy_rate)
+    (if event then Printf.sprintf ", \"event\": %s" (side event_rate) else "")
 
 let trend_tests =
   [
     Alcotest.test_case "equal rates pass" `Quick (fun () ->
-        let j = engine_json ~legacy_rate:1e6 ~event_rate:2e6 ~heap_rate:3e6 () in
+        let j = engine_json ~legacy_rate:1e6 ~event_rate:2e6 () in
         Alcotest.(check int) "no failures" 0
           (trend_fails (Trend.compare_engine ~old_json:j ~new_json:j ())));
     Alcotest.test_case "small drift passes, big regression fails" `Quick
       (fun () ->
-        let old_j =
-          engine_json ~legacy_rate:1e6 ~event_rate:2e6 ~heap_rate:3e6 ()
-        in
-        let drift =
-          engine_json ~legacy_rate:0.95e6 ~event_rate:1.9e6 ~heap_rate:2.9e6 ()
-        in
-        let regressed =
-          engine_json ~legacy_rate:1e6 ~event_rate:2e6 ~heap_rate:2.0e6 ()
-        in
+        let old_j = engine_json ~legacy_rate:1e6 ~event_rate:2e6 () in
+        let drift = engine_json ~legacy_rate:0.95e6 ~event_rate:1.9e6 () in
+        let regressed = engine_json ~legacy_rate:1e6 ~event_rate:1.2e6 () in
         Alcotest.(check int) "5% drift ok" 0
           (trend_fails
              (Trend.compare_engine ~old_json:old_j ~new_json:drift ()));
-        Alcotest.(check int) "33% drop fails" 1
+        Alcotest.(check int) "40% drop fails" 1
           (trend_fails
              (Trend.compare_engine ~old_json:old_j ~new_json:regressed ()));
         (* a tighter threshold turns the drift into a failure too *)
@@ -369,21 +363,15 @@ let trend_tests =
     Alcotest.test_case "new engine without baseline is not a failure" `Quick
       (fun () ->
         let old_j =
-          engine_json ~heap:false ~legacy_rate:1e6 ~event_rate:2e6
-            ~heap_rate:0.0 ()
+          engine_json ~event:false ~legacy_rate:1e6 ~event_rate:0.0 ()
         in
-        let new_j =
-          engine_json ~legacy_rate:1e6 ~event_rate:2e6 ~heap_rate:3e6 ()
-        in
+        let new_j = engine_json ~legacy_rate:1e6 ~event_rate:2e6 () in
         Alcotest.(check int) "no failures" 0
           (trend_fails (Trend.compare_engine ~old_json:old_j ~new_json:new_j ())));
     Alcotest.test_case "an engine disappearing is a failure" `Quick (fun () ->
-        let old_j =
-          engine_json ~legacy_rate:1e6 ~event_rate:2e6 ~heap_rate:3e6 ()
-        in
+        let old_j = engine_json ~legacy_rate:1e6 ~event_rate:2e6 () in
         let new_j =
-          engine_json ~heap:false ~legacy_rate:1e6 ~event_rate:2e6
-            ~heap_rate:0.0 ()
+          engine_json ~event:false ~legacy_rate:1e6 ~event_rate:0.0 ()
         in
         Alcotest.(check int) "one failure" 1
           (trend_fails (Trend.compare_engine ~old_json:old_j ~new_json:new_j ())));
@@ -404,7 +392,7 @@ let trend_tests =
              (Trend.compare_figure ~name:"fig1" ~old_json:old_fig
                 ~new_json:reshaped ())));
     Alcotest.test_case "compare_all: missing sides" `Quick (fun () ->
-        let j = engine_json ~legacy_rate:1e6 ~event_rate:2e6 ~heap_rate:3e6 () in
+        let j = engine_json ~legacy_rate:1e6 ~event_rate:2e6 () in
         (* no baseline at all: notes only *)
         Alcotest.(check int) "first run passes" 0
           (trend_fails

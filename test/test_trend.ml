@@ -19,10 +19,10 @@ let has_fail_containing fs needle =
     (fun (f : Trend.finding) -> f.Trend.severity = `Fail && contains f.Trend.message)
     (Trend.failures fs)
 
-let engine_json ?(legacy = 1000.0) ?(event = 2000.0) ?(heap = 3000.0) () =
+let engine_json ?(legacy = 1000.0) ?(event = 2000.0) () =
   Printf.sprintf
-    {|{"legacy":{"cycles_per_sec":%f},"event":{"cycles_per_sec":%f},"heap":{"cycles_per_sec":%f}}|}
-    legacy event heap
+    {|{"legacy":{"cycles_per_sec":%f},"event":{"cycles_per_sec":%f}}|}
+    legacy event
 
 let engine_tests =
   [
@@ -35,20 +35,20 @@ let engine_tests =
     tc "a drop beyond the threshold fails" (fun () ->
         let fs =
           Trend.compare_engine ~old_json:(engine_json ())
-            ~new_json:(engine_json ~heap:2000.0 ()) ()
+            ~new_json:(engine_json ~event:1000.0 ()) ()
         in
-        Alcotest.(check bool) "heap regression flagged" true
-          (has_fail_containing fs "heap engine regressed"));
+        Alcotest.(check bool) "event regression flagged" true
+          (has_fail_containing fs "event engine regressed"));
     tc "a drop within the threshold passes" (fun () ->
         let fs =
           Trend.compare_engine ~old_json:(engine_json ())
-            ~new_json:(engine_json ~heap:2800.0 ()) ()
+            ~new_json:(engine_json ~event:1900.0 ()) ()
         in
         check Alcotest.int "no failures" 0 (n_failures fs));
     tc "custom threshold is honoured" (fun () ->
         let fs =
           Trend.compare_engine ~threshold:0.5 ~old_json:(engine_json ())
-            ~new_json:(engine_json ~heap:1600.0 ()) ()
+            ~new_json:(engine_json ~event:1060.0 ()) ()
         in
         check Alcotest.int "47% drop under a 50% threshold" 0 (n_failures fs));
     tc "an engine with no baseline is a note, not a failure" (fun () ->
@@ -64,6 +64,16 @@ let engine_tests =
         in
         Alcotest.(check bool) "disappearance flagged" true
           (has_fail_containing fs "disappeared"));
+    tc "a baseline still carrying a retired engine passes" (fun () ->
+        (* artifacts written before the heap engine was removed keep a
+           "heap" entry; only the current engines are compared *)
+        let old_json =
+          {|{"legacy":{"cycles_per_sec":1000.0},"event":{"cycles_per_sec":2000.0},"heap":{"cycles_per_sec":3000.0}}|}
+        in
+        let fs =
+          Trend.compare_engine ~old_json ~new_json:(engine_json ()) ()
+        in
+        check Alcotest.int "no failures" 0 (n_failures fs));
     tc "unreadable engine json is a failure" (fun () ->
         let fs =
           Trend.compare_engine ~old_json:"not json"
