@@ -1,24 +1,31 @@
 (* The full benchmark harness.
 
    Part 1 regenerates every table and figure of the paper's evaluation
-   (Sections 2 and 6) through the experiments library and prints the rows
-   the paper reports.  Absolute numbers come from our simulator, so the
-   claim under test is the *shape*: who wins, by roughly what factor, and
-   where the crossovers fall.
+   (Sections 2 and 6), walking [Figures.all], and prints the rows the
+   paper reports.  Absolute numbers come from our simulator, so the claim
+   against the paper is the *shape*: who wins, by roughly what factor,
+   and where the crossovers fall.  Against itself the simulator is
+   bit-exact: the quick sweep's tables are committed under
+   bench/expected-quick/, and CI diffs a fresh sweep under both engines
+   against them cell for cell.
 
    Part 2 runs Bechamel micro-benchmarks of the substrate itself
    (interpreter, compiler, ring network, caches, core models) so
    performance regressions in the simulator are visible.
 
-   Between the two parts an engine A/B run times the legacy and event
-   simulation engines over the CINT set and writes BENCH_engine.json
-   (simulated cycles per host second for each).
-
    Set HELIX_BENCH_QUICK=1 to restrict part 1 to the CINT models.
-   Set HELIX_BENCH_METRICS_DIR=<dir> to also dump each figure's table as
-   <dir>/<figure>.json for machine consumption (CI trend tracking).
-   Set HELIX_BENCH_SECTIONS to a comma list of figures,engine,micro to
-   run a subset (default: all three). *)
+   Set HELIX_BENCH_METRICS_DIR=<dir> to also dump each table as
+   <dir>/<name>.json, named by [Figures.files].
+   Set HELIX_BENCH_SECTIONS to a comma list of figures,micro to run a
+   subset (default: both).
+   Set HELIX_BENCH_JOBS=<n> to evaluate figure points on n domains; the
+   tables do not depend on it.
+
+   After a change that moves a figure on purpose, regenerate the golden
+   tables from the repository root with
+
+     rm -rf bench/expected-quick && mkdir bench/expected-quick && HELIX_BENCH_QUICK=1 HELIX_BENCH_SECTIONS=figures HELIX_BENCH_METRICS_DIR=bench/expected-quick dune exec bench/main.exe
+*)
 
 open Helix_ir
 open Helix_hcc
@@ -35,7 +42,7 @@ let metrics_dir = Sys.getenv_opt "HELIX_BENCH_METRICS_DIR"
 
 let sections =
   match Sys.getenv_opt "HELIX_BENCH_SECTIONS" with
-  | None -> [ "figures"; "engine"; "micro" ]
+  | None -> [ "figures"; "micro" ]
   | Some s -> String.split_on_char ',' (String.trim s)
 
 let wants s = List.mem s sections
@@ -63,158 +70,12 @@ let part1 () =
   (* warm the compile/baseline memo tables across the pool so the
      figures below start from cache hits instead of serial compiles *)
   Exp_common.precompile workloads;
-  emit "fig1" (Fig1.report (Fig1.run ~workloads ()));
-  emit "fig2" (Fig2.report (Fig2.run ()));
-  emit "fig3" (Fig3.report (Fig3.run ()));
-  emit "fig4" (Fig4.report (Fig4.run ()));
-  emit "table1" (Table1.report (Table1.run ~workloads ()));
-  emit "fig7" (Fig7.report (Fig7.run ~workloads ()));
-  emit "fig8" (Fig8.report (Fig8.run ()));
-  emit "fig9" (Fig9.report (Fig9.run ()));
-  emit "fig10" (Fig10.report (Fig10.run ()));
-  emit "fig11a"
-    (Fig11.report ~title:"Figure 11a: core count" (Fig11.core_count ()));
-  emit "fig11b"
-    (Fig11.report ~title:"Figure 11b: link latency" (Fig11.link_latency ()));
-  emit "fig11c"
-    (Fig11.report ~title:"Figure 11c: signal bandwidth"
-       (Fig11.signal_bandwidth ()));
-  emit "fig11d"
-    (Fig11.report ~title:"Figure 11d: node memory size" (Fig11.node_memory ()));
-  emit "fig12" (Fig12.report (Fig12.run ~workloads ()));
-  emit "tlp" (Tlp_study.report (Tlp_study.run ()));
-  emit "ablations" (Ablations.report (Ablations.run ()))
-
-(* ---- engine A/B: simulated cycles per second ------------------------- *)
-
-(* Wall-clock both engines over the CINT set in the two configurations
-   every figure pairs (HELIX ring-decoupled and conventional coupled) and
-   record simulated cycles per host second.  Results are bit-identical by
-   construction (test/test_engine.ml proves it), so the event/legacy
-   ratio is the event engine's figure of merit; per-workload elision
-   ratios show where it comes from.  The table lands in
-   BENCH_engine.json so the perf trajectory has data. *)
-
-let engine_ab () =
-  Fmt.pr "@.== engine A/B: simulated cycles/sec (CINT set) ==@.";
-  let wls = Registry.integer in
-  (* compile once, outside the timed region: only simulation is measured *)
-  let prepared =
-    List.map
-      (fun (wl : Workload.t) ->
-        let s = wl.Workload.build () in
-        let c =
-          Hcc.compile
-            (Hcc_config.v3 ())
-            s.Workload.prog s.Workload.layout
-            ~train_mem:(s.Workload.init Workload.Train)
-        in
-        (wl, c, fun () -> s.Workload.init Workload.Ref))
-      wls
-  in
-  let cfg_of ~helix engine =
-    if helix then Exp_common.helix_cfg ~engine ()
-    else Exp_common.conventional_cfg ~engine ()
-  in
-  let time_one cfg (c, fresh_mem) =
-    let mem = fresh_mem () in
-    let t0 = Unix.gettimeofday () in
-    let r = Executor.run ~compiled:c cfg c.Hcc.cp_prog mem in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let skip_ratio (r : Executor.result) =
-    match
-      Helix_obs.Metrics.find_float r.Executor.r_metrics "engine.skip_ratio"
-    with
-    | Some f -> f
-    | None -> 0.0
-  in
-  (* Alternate the engines per (workload, config) point and keep each
-     side's best of three: host-load drift and GC phase otherwise swamp
-     the signal.  Cycle totals are engine-independent (bit-identical
-     results), so accumulating them from one side is enough. *)
-  let total_cycles = ref 0 in
-  let l_dt = ref 0.0 and e_dt = ref 0.0 in
-  let detail = ref [] in
   List.iter
-    (fun ((wl : Workload.t), c, fresh_mem) ->
-      let p = (c, fresh_mem) in
+    (fun (name, reports) ->
       List.iter
-        (fun helix ->
-          let legacy_cfg = cfg_of ~helix Helix_engine.Engine.Legacy in
-          let event_cfg = cfg_of ~helix Helix_engine.Engine.Event in
-          ignore (time_one legacy_cfg p) (* warmup *);
-          let l_best = ref infinity and e_best = ref infinity in
-          let cycles = ref 0 in
-          let e_ratio = ref 0.0 in
-          for _ = 1 to 3 do
-            let lr, ld = time_one legacy_cfg p in
-            let er, ed = time_one event_cfg p in
-            cycles := lr.Executor.r_cycles;
-            e_ratio := skip_ratio er;
-            if ld < !l_best then l_best := ld;
-            if ed < !e_best then e_best := ed
-          done;
-          total_cycles := !total_cycles + !cycles;
-          l_dt := !l_dt +. !l_best;
-          e_dt := !e_dt +. !e_best;
-          detail :=
-            (wl.Workload.name, (if helix then "helix" else "conventional"),
-             !e_ratio)
-            :: !detail)
-        [ true; false ])
-    prepared;
-  let detail = List.rev !detail in
-  let l_dt = !l_dt and e_dt = !e_dt in
-  let rate dt = float_of_int !total_cycles /. Float.max dt 1e-9 in
-  let l_rate = rate l_dt and e_rate = rate e_dt in
-  let e_speedup = e_rate /. Float.max l_rate 1e-9 in
-  Fmt.pr "  legacy: %d cycles in %.3fs = %.0f cycles/sec@." !total_cycles l_dt
-    l_rate;
-  Fmt.pr "  event:  %d cycles in %.3fs = %.0f cycles/sec@." !total_cycles e_dt
-    e_rate;
-  Fmt.pr "  event/legacy: %.2fx@." e_speedup;
-  Fmt.pr "  elided-cycle ratio (event):@.";
-  List.iter
-    (fun (name, cfg, er) -> Fmt.pr "    %-14s %-12s %.3f@." name cfg er)
-    detail;
-  let side cycles dt r =
-    Helix_obs.Json.Obj
-      [
-        ("cycles", Helix_obs.Json.Int cycles);
-        ("seconds", Helix_obs.Json.Float dt);
-        ("cycles_per_sec", Helix_obs.Json.Float r);
-      ]
-  in
-  let json =
-    Helix_obs.Json.Obj
-      [
-        ("bench", Helix_obs.Json.String "engine-ab");
-        ( "workloads",
-          Helix_obs.Json.List
-            (List.map
-               (fun (wl, _, _) -> Helix_obs.Json.String wl.Workload.name)
-               prepared) );
-        ("legacy", side !total_cycles l_dt l_rate);
-        ("event", side !total_cycles e_dt e_rate);
-        ("event_over_legacy", Helix_obs.Json.Float e_speedup);
-        ( "skip_ratio",
-          Helix_obs.Json.List
-            (List.map
-               (fun (name, cfg, er) ->
-                 Helix_obs.Json.Obj
-                   [
-                     ("workload", Helix_obs.Json.String name);
-                     ("config", Helix_obs.Json.String cfg);
-                     ("event", Helix_obs.Json.Float er);
-                   ])
-               detail) );
-      ]
-  in
-  let oc = open_out "BENCH_engine.json" in
-  output_string oc (Helix_obs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc
+        (fun (file, r) -> emit file r)
+        (Figures.files name (reports workloads)))
+    Figures.all
 
 (* ---- part 2: substrate micro-benchmarks ------------------------------- *)
 
@@ -455,6 +316,5 @@ let part2 () =
 
 let () =
   if wants "figures" then part1 ();
-  if wants "engine" then engine_ab ();
   if wants "micro" then part2 ();
   Fmt.pr "@.done.@."

@@ -40,89 +40,31 @@ let set_jobs = function Some n -> Exp_common.Pool.set_jobs n | None -> ()
 
 (* ---- experiment commands ---- *)
 
-let experiment name runner =
-  let doc = Printf.sprintf "Regenerate %s of the paper." name in
-  Cmd.v
-    (Cmd.info (String.lowercase_ascii name) ~doc)
-    Term.(
-      const (fun quick jobs ->
-          set_jobs jobs;
-          runner ~workloads:(pick_workloads quick) ();
-          `Ok ())
-      $ quick $ jobs_arg |> ret)
+let figure_doc = function
+  | "fig11" -> "Regenerate Figure 11 (sensitivity sweeps) of the paper."
+  | "tlp" -> "Regenerate the TLP study of the paper."
+  | "ablations" ->
+      "Run the design-decision ablations (beyond the paper's sweeps)."
+  | name ->
+      Printf.sprintf "Regenerate %s of the paper."
+        (String.capitalize_ascii name)
 
-let fig1_cmd =
-  experiment "Fig1" (fun ~workloads () ->
-      Report.print (Fig1.report (Fig1.run ~workloads ())))
+let print_reports ~workloads reports =
+  List.iter Report.print (reports workloads)
 
-let fig2_cmd =
-  experiment "Fig2" (fun ~workloads:_ () ->
-      Report.print (Fig2.report (Fig2.run ())))
-
-let fig3_cmd =
-  experiment "Fig3" (fun ~workloads:_ () ->
-      Report.print (Fig3.report (Fig3.run ())))
-
-let fig4_cmd =
-  experiment "Fig4" (fun ~workloads:_ () ->
-      Report.print (Fig4.report (Fig4.run ())))
-
-let table1_cmd =
-  experiment "Table1" (fun ~workloads () ->
-      Report.print (Table1.report (Table1.run ~workloads ())))
-
-let fig7_cmd =
-  experiment "Fig7" (fun ~workloads () ->
-      Report.print (Fig7.report (Fig7.run ~workloads ())))
-
-let fig8_cmd =
-  experiment "Fig8" (fun ~workloads:_ () ->
-      Report.print (Fig8.report (Fig8.run ())))
-
-let fig9_cmd =
-  experiment "Fig9" (fun ~workloads:_ () ->
-      Report.print (Fig9.report (Fig9.run ())))
-
-let fig10_cmd =
-  experiment "Fig10" (fun ~workloads:_ () ->
-      Report.print (Fig10.report (Fig10.run ())))
-
-let fig11_cmd =
-  let doc = "Regenerate Figure 11 (sensitivity sweeps) of the paper." in
-  Cmd.v (Cmd.info "fig11" ~doc)
-    Term.(
-      const (fun () ->
-          Report.print
-            (Fig11.report ~title:"Figure 11a: core count"
-               (Fig11.core_count ()));
-          Report.print
-            (Fig11.report ~title:"Figure 11b: link latency"
-               (Fig11.link_latency ()));
-          Report.print
-            (Fig11.report ~title:"Figure 11c: signal bandwidth"
-               (Fig11.signal_bandwidth ()));
-          Report.print
-            (Fig11.report ~title:"Figure 11d: node memory size"
-               (Fig11.node_memory ()));
-          `Ok ())
-      $ const () |> ret)
-
-let fig12_cmd =
-  experiment "Fig12" (fun ~workloads () ->
-      Report.print (Fig12.report (Fig12.run ~workloads ())))
-
-let tlp_cmd =
-  experiment "TLP" (fun ~workloads:_ () ->
-      Report.print (Tlp_study.report (Tlp_study.run ())))
-
-let ablations_cmd =
-  let doc = "Run the design-decision ablations (beyond the paper's sweeps)." in
-  Cmd.v (Cmd.info "ablations" ~doc)
-    Term.(
-      const (fun () ->
-          Report.print (Ablations.report (Ablations.run ()));
-          `Ok ())
-      $ const () |> ret)
+(* one command per entry of [Figures.all] *)
+let figure_cmds =
+  List.map
+    (fun (name, reports) ->
+      Cmd.v
+        (Cmd.info name ~doc:(figure_doc name))
+        Term.(
+          const (fun quick jobs ->
+              set_jobs jobs;
+              print_reports ~workloads:(pick_workloads quick) reports;
+              `Ok ())
+          $ quick $ jobs_arg |> ret))
+    Figures.all
 
 let all_cmd =
   let doc = "Regenerate every table and figure (the full evaluation)." in
@@ -132,29 +74,8 @@ let all_cmd =
           set_jobs jobs;
           let workloads = pick_workloads quick in
           Exp_common.precompile workloads;
-          Report.print (Fig1.report (Fig1.run ~workloads ()));
-          Report.print (Fig2.report (Fig2.run ()));
-          Report.print (Fig3.report (Fig3.run ()));
-          Report.print (Fig4.report (Fig4.run ()));
-          Report.print (Table1.report (Table1.run ~workloads ()));
-          Report.print (Fig7.report (Fig7.run ~workloads ()));
-          Report.print (Fig8.report (Fig8.run ()));
-          Report.print (Fig9.report (Fig9.run ()));
-          Report.print (Fig10.report (Fig10.run ()));
-          Report.print
-            (Fig11.report ~title:"Figure 11a: core count" (Fig11.core_count ()));
-          Report.print
-            (Fig11.report ~title:"Figure 11b: link latency"
-               (Fig11.link_latency ()));
-          Report.print
-            (Fig11.report ~title:"Figure 11c: signal bandwidth"
-               (Fig11.signal_bandwidth ()));
-          Report.print
-            (Fig11.report ~title:"Figure 11d: node memory size"
-               (Fig11.node_memory ()));
-          Report.print (Fig12.report (Fig12.run ~workloads ()));
-          Report.print (Tlp_study.report (Tlp_study.run ()));
-          Report.print (Ablations.report (Ablations.run ()));
+          List.iter (fun (_, reports) -> print_reports ~workloads reports)
+            Figures.all;
           `Ok ())
       $ quick $ jobs_arg |> ret)
 
@@ -566,12 +487,11 @@ let () =
   let info = Cmd.info "helix-rc" ~version:"1.0" ~doc in
   let group =
     Cmd.group info
-      [
-        fig1_cmd; fig2_cmd; fig3_cmd; fig4_cmd; table1_cmd; fig7_cmd;
-        fig8_cmd; fig9_cmd; fig10_cmd; fig11_cmd; fig12_cmd; tlp_cmd;
-        ablations_cmd; all_cmd; compile_cmd; run_cmd; overhead_cmd;
-        stats_cmd; chaos_cmd; list_cmd;
-      ]
+      (figure_cmds
+      @ [
+          all_cmd; compile_cmd; run_cmd; overhead_cmd; stats_cmd; chaos_cmd;
+          list_cmd;
+        ])
   in
   (* ~catch:false so a Stuck simulation reaches this handler instead of
      dying with a raw backtrace: print the full report to stderr and exit

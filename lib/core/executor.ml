@@ -281,13 +281,6 @@ let find_loop t ~func ~header =
   | None -> None
   | Some c -> Hcc.find_parallel_loop c ~func ~header
 
-let trace_invocations =
-  match Sys.getenv_opt "HELIX_TRACE_INV" with
-  | Some s -> (try int_of_string s with _ -> 0)
-  | None -> 0
-
-let traced = ref 0
-
 (* ---- conventional chained signalling ---- *)
 
 let conv_key t ~seg ~origin = (seg * t.n) + origin
@@ -407,27 +400,7 @@ let shared_op t ~core ~cycle ~tag (op : Uop.shared_op) : Uop.shared_outcome =
         Trace.wait_complete t.cfg.trace ~cycle ~core ~seg ~iter:local_iter;
         Uop.Sh_done { latency = 1; value = 0 }
       end
-      else begin
-        if !traced < trace_invocations && cycle land 15 = 0 then begin
-          let missing =
-            List.filter
-              (fun (origin, threshold) ->
-                match t.ring with
-                | Some ring ->
-                    not
-                      (Ring.signals_satisfied ring ~node:core ~seg ~origin
-                         ~threshold)
-                | None -> false)
-              (wait_thresholds t ~core ~local_iter)
-          in
-          Printf.eprintf "  [trace] @%d core %d wait seg%d k=%d missing=%s\n"
-            cycle core seg local_iter
-            (String.concat ","
-               (List.map (fun (o, th) -> Printf.sprintf "%d(th%d)" o th)
-                  missing))
-        end;
-        Uop.Sh_retry
-      end
+      else Uop.Sh_retry
   | Uop.S_signal seg ->
       if t.cfg.comm.sync_via_ring then begin
         match t.ring with
@@ -449,9 +422,6 @@ let shared_op t ~core ~cycle ~tag (op : Uop.shared_op) : Uop.shared_outcome =
         match t.ring with
         | Some ring ->
             let value, latency = Ring.load ring ~node:core ~addr ~cycle in
-            if !traced < trace_invocations && latency > 10 then
-              Printf.eprintf "  [trace] @%d core %d ring MISS a=%d lat=%d\n"
-                cycle core addr latency;
             Uop.Sh_done { latency; value }
         | None -> assert false
       end
@@ -494,10 +464,7 @@ let can_start t (ps : par_state) iter =
   | Some trip -> iter < trip
   | None -> (not ps.ps_stopped) && iter <= ps.ps_contig
 
-let finish_iteration ~now (ps : par_state) rv =
-  if !traced < trace_invocations then
-    Printf.eprintf "  [trace] @%d iter finished (fin=%d/%d)\n" now
-      (ps.ps_finished + 1) ps.ps_started;
+let finish_iteration (ps : par_state) rv =
   ps.ps_finished <- ps.ps_finished + 1;
   match rv with
   | Some v when v <> 0 ->
@@ -521,7 +488,7 @@ let rec worker_next_uop t (ps : par_state) (w : worker) =
   | Context.Finished rv ->
       if w.w_running_iter then begin
         w.w_running_iter <- false;
-        finish_iteration ~now:!(t.now) ps rv
+        finish_iteration ps rv
       end;
       (* schedule the next iteration assigned to this core: the sweep
          over its owned lanes (identical to core-id round-robin while
@@ -531,9 +498,6 @@ let rec worker_next_uop t (ps : par_state) (w : worker) =
         w.w_local_iter <- w.w_local_iter + 1;
         ps.ps_started <- ps.ps_started + 1;
         w.w_running_iter <- true;
-        if !traced < trace_invocations then
-          Printf.eprintf "  [trace] @%d core %d starts iter %d\n" !(t.now)
-            w.w_core iter;
         Context.start w.w_ctx ps.ps_pl.Parallel_loop.pl_body_fn
           (iter :: ps.ps_params);
         worker_next_uop t ps w
@@ -623,10 +587,6 @@ let begin_parallel t (pl : Parallel_loop.t) =
         Some (compute_trip c ~init ~step ~bound)
     | Parallel_loop.Conditional -> None
   in
-  if !traced < trace_invocations then
-    Printf.eprintf "  [trace] @%d begin_parallel loop%d trip=%s\n" !(t.now)
-      pl.Parallel_loop.pl_id
-      (match trip with Some k -> string_of_int k | None -> "?");
   Trace.loop_enter t.cfg.trace ~cycle:!(t.now) ~loop:pl.Parallel_loop.pl_id
     ~trip;
   (* rollback point: the memory image before any runtime-cell writes *)
@@ -703,11 +663,6 @@ let parallel_done t (ps : par_state) =
   && (match t.ring with Some r -> Ring.data_drained r | None -> true)
 
 let end_parallel_normal t (ps : par_state) =
-  if !traced < trace_invocations then begin
-    incr traced;
-    Printf.eprintf "  [trace] @%d end_parallel (entry @%d, started %d)\n"
-      !(t.now) ps.ps_entry_cycle ps.ps_started
-  end;
   let pl = ps.ps_pl in
   let sc = t.serial_ctx in
   let executed = ps.ps_executed in
@@ -1098,7 +1053,7 @@ let create ?(compiled : Hcc.compiled option) (cfg : config)
   in
   t.mk_core <-
     (fun c ->
-      Core.create ~id:c ~retired_sink:t.total_retired
+      Core.create ~retired_sink:t.total_retired
         cfg.mach.Mach_config.core (supply_for c));
   t.cores <- Array.init n t.mk_core;
   t

@@ -10,11 +10,11 @@ type t =
   | In_order of Core_inorder.t
   | Out_of_order of Core_ooo.t
 
-let create ~id ?retired_sink (cfg : Mach_config.core_config)
+let create ?retired_sink (cfg : Mach_config.core_config)
     (supply : Core_model.supply) =
   match cfg.Mach_config.kind with
   | Mach_config.In_order ->
-      In_order (Core_inorder.create ~id ?retired_sink cfg supply)
+      In_order (Core_inorder.create ?retired_sink cfg supply)
   | Mach_config.Out_of_order ->
       Out_of_order (Core_ooo.create ?retired_sink cfg supply)
 

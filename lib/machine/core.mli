@@ -4,10 +4,8 @@
 type t
 
 val create :
-  id:int ->
   ?retired_sink:int ref -> Mach_config.core_config -> Core_model.supply -> t
-(** [id] is the core's index in its machine (it selects the core for
-    [HELIX_TRACE_CORE] tracing).  [retired_sink] is shared with {!Stats.create}: a monotonic counter
+(** [retired_sink] is shared with {!Stats.create}: a monotonic counter
     bumped on every retirement, letting the executor watchdog observe
     aggregate progress without folding over all cores each cycle. *)
 

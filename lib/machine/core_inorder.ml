@@ -7,7 +7,6 @@
    which is where wait-stalls and communication stalls appear. *)
 
 type t = {
-  my_id : int;
   cfg : Mach_config.core_config;
   supply : Core_model.supply;
   stats : Stats.t;
@@ -26,22 +25,8 @@ type t = {
                                       fruitless supply pull *)
 }
 
-let trace_core =
-  match Sys.getenv_opt "HELIX_TRACE_CORE" with
-  | Some v -> (try int_of_string v with _ -> -1)
-  | None -> -1
-
-let trace_win =
-  match Sys.getenv_opt "HELIX_TRACE_WIN" with
-  | Some v -> (
-      match String.split_on_char '-' v with
-      | [ a; b ] -> (int_of_string a, int_of_string b)
-      | _ -> (0, -1))
-  | None -> (0, -1)
-
-let create ~id ?retired_sink cfg supply =
+let create ?retired_sink cfg supply =
   {
-    my_id = id;
     cfg;
     supply;
     stats = Stats.create ?retired_sink ();
@@ -156,15 +141,6 @@ let try_issue t (u : Uop.t) cycle =
   end
 
 let tick t cycle =
-  let lo, hi = trace_win in
-  let tracing = t.my_id = trace_core && cycle >= lo && cycle <= hi in
-  if tracing then
-    (match t.pending with
-    | Some u ->
-        Printf.eprintf "@%d core%d pending %s membusy=%d\n" cycle t.my_id
-          (Format.asprintf "%a" Uop.pp u)
-          t.mem_busy_until
-    | None -> ());
   let issued = ref 0 in
   let only_sync = ref true in
   let stall = ref Stats.Pipeline in

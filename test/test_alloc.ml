@@ -14,7 +14,13 @@
    bit-identical -- and [Gc.minor_words] over the [Executor.run] window,
    divided by retired instructions, must stay under a ceiling set about
    10% above the measured value.  Minor words are an exact, repeatable
-   count, unlike host time. *)
+   count, unlike host time.
+
+   The engine's step count ([engine.steps]: cycles the engine ticked
+   rather than fast-forwarded) must stay at or below its committed
+   ceiling, so a change that loses idle-cycle skipping fails here.  The
+   ceilings are the measured counts; the per-cycle legacy engine, which
+   skips nothing, steps once per simulated cycle and exceeds them. *)
 
 open Helix_ir
 open Helix_hcc
@@ -43,6 +49,7 @@ type case = {
   name : string;
   cycles : int;          (* pinned simulated cycles *)
   ceiling : float;       (* minor words per retired instruction *)
+  max_steps : int;       (* engine steps *)
   run : Workload.spec -> Hcc.compiled -> Memory.t -> Executor.result;
 }
 
@@ -52,6 +59,7 @@ let cases =
       name = "sequential";
       cycles = 50053;
       ceiling = 13.2;
+      max_steps = 22749;
       run =
         (fun spec _ mem ->
           Executor.run
@@ -62,6 +70,7 @@ let cases =
       name = "helix-rc";
       cycles = 20763;
       ceiling = 34.1;
+      max_steps = 17683;
       run =
         (fun _ compiled mem ->
           Executor.run ~compiled
@@ -72,6 +81,7 @@ let cases =
       name = "conventional";
       cycles = 46716;
       ceiling = 14.7;
+      max_steps = 16880;
       run =
         (fun _ compiled mem ->
           Executor.run ~compiled
@@ -90,6 +100,14 @@ let check_case c () =
   Alcotest.(check bool) ("result matches the interpreter: " ^ v.Helix.detail)
     true v.Helix.ok;
   Alcotest.(check int) "simulated cycles" c.cycles r.Executor.r_cycles;
+  (match Helix_obs.Metrics.find_int r.Executor.r_metrics "engine.steps" with
+  | None -> Alcotest.fail "engine.steps missing from the run's metrics"
+  | Some steps when steps > c.max_steps ->
+      Alcotest.failf
+        "%s takes %d engine steps (ceiling %d): idle cycles are no longer \
+         skipped"
+        c.name steps c.max_steps
+  | Some _ -> ());
   let per_instr = words /. float_of_int (max 1 r.Executor.r_retired) in
   if per_instr > c.ceiling then
     Alcotest.failf

@@ -5,7 +5,8 @@
    leave stderr empty.  The subcommands are read off the top-level page,
    so a new one is covered without editing this file.  An engine the
    simulator does not have, named by flag or by environment, must be
-   refused with the accepted names. *)
+   refused with the accepted names.  Environment variables the simulator
+   does not read must not change what a command does. *)
 
 let exe = ref ""
 
@@ -78,6 +79,16 @@ let engine_tests =
         check_refused [ "run"; "164.gzip"; "--engine"; "heap" ]);
   ]
 
+let env_tests =
+  [
+    (* a debug hook once parsed this at start-up and died on a bad value *)
+    Alcotest.test_case "HELIX_TRACE_WIN=a-b is ignored" `Quick (fun () ->
+        let code, out, err = run ~env:[ "HELIX_TRACE_WIN=a-b" ] [ "list" ] in
+        Alcotest.(check string) "stderr" "" err;
+        Alcotest.(check int) "exit code" 0 code;
+        Alcotest.(check bool) "workloads listed" true (contains out "164.gzip"));
+  ]
+
 let () =
   (match Array.to_list Sys.argv with
   | _ :: path :: _ -> exe := path
@@ -97,4 +108,5 @@ let () =
                    check_page [ c ]))
              cmds );
       ("engine", engine_tests);
+      ("environment", env_tests);
     ]
